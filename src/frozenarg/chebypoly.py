@@ -482,11 +482,7 @@ def poly_roots(p: Poly, max_iterations: int = 500) -> np.ndarray:
         dv = dval(z)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = (1.0 / diff).sum(axis=1)
-            denom = 1.0 - newton * s
-            step = newton / np.where(denom == 0, 1, denom)
+            step = _aberth_correction(z, newton)
         step = np.where(np.isfinite(step), step, 0.0)
         at_floor = np.abs(pv) <= noise_floor(z)
         z = z - np.where(at_floor, 0.0, step)
@@ -505,6 +501,22 @@ def poly_roots(p: Poly, max_iterations: int = 500) -> np.ndarray:
         good = (dv != 0) & (np.abs(pv) > noise_floor(z))
         z = np.where(good, z - pv / np.where(dv == 0, 1, dv), z)
     return z
+
+
+def _aberth_correction(z, newton, rows=None):
+    """Aberth steps N_i / (1 - N_i sum_{j != i} 1 / (z_i - z_j)) for the roots z[rows].
+
+    ``newton`` holds the Newton ratios N_i of those roots (all of z when rows
+    is None); the sum runs over every entry of z except z_i itself.  A zero
+    denominator leaves the Newton ratio unchanged.
+    """
+    rows = np.arange(len(z)) if rows is None else rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = z[rows, None] - z[None, :]
+        diff[np.arange(len(rows)), rows] = np.inf
+        s = (1.0 / diff).sum(axis=1)
+        denom = 1.0 - newton * s
+        return newton / np.where(denom == 0, 1, denom)
 
 
 def _quadratic_roots(a, b, c) -> np.ndarray:

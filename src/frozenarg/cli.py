@@ -69,7 +69,10 @@ def _load_potential(name: str):
 
 
 def _load_mu(path: str) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except ValueError as err:
+        raise ConfigError(f"spectrum file {path} is not numeric CSV: {err}") from err
     if data.shape[1] == 1:
         return data[:, 0].astype(complex)
     if data.shape[1] == 2:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import BracketFailure, QuadratureFailure, WrongCount
 
@@ -120,6 +119,9 @@ def sampled_potential(x, q) -> BenchmarkPotential:
         raise WrongCount("sample abscissae must be strictly increasing")
     if x[0] < -1e-12 or x[-1] > math.pi + 1e-12:
         raise WrongCount("samples must lie inside [0, pi]")
+    # imported here: scipy takes about 0.6 s to import and only sampled potentials need it
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(x, q)
     return BenchmarkPotential(
         kind="sampled",

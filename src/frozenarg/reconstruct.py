@@ -19,7 +19,7 @@ import numpy as np
 
 from .continuous import BenchmarkPotential, continuous_spectrum
 from .discrete import Spectrum, discrete_spectrum, sample_problem
-from .errors import WrongCount
+from .errors import FrozenArgError, WrongCount
 from .inverse import solve_symmetric
 
 
@@ -70,7 +70,9 @@ def reconstruct(lambdas_odd, m: int) -> ReconstructionResult:
     mu = 2.0 - h * h * tilde
     wm, s = solve_symmetric(mu, m)
     z = np.append(s, wm)
-    assert np.abs(z.imag).max(initial=0.0) <= 1e-9, "imaginary residue above tolerance"
+    residue = np.abs(z.imag).max(initial=0.0)
+    if not residue <= 1e-9:  # also catches a NaN residue
+        raise FrozenArgError(f"imaginary residue {residue:.3e} of the recovered coordinates exceeds 1e-9")
     q_half = np.empty(m)
     q_half[: m - 1] = z[: m - 1].real / (2.0 * h * h)
     q_half[m - 1] = z[m - 1].real / (h * h)

@@ -170,6 +170,22 @@ def test_console_entry_point(tmp_path):
     assert out.exists()
 
 
+def test_inverse_malformed_mu_file(tmp_path, capsys):
+    mu_file = tmp_path / "mu.csv"
+    mu_file.write_text("0.5,0.1\n0.25,abc\n")
+    assert main(["inverse", "--l", "2", "--m", "1", "--mu", str(mu_file)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+
+
+def test_forward_large_l_rows_finite(tmp_path):
+    out = tmp_path / "fwd.csv"
+    assert main(["forward", "--potential", "quadratic", "--l", "1024", "--m", "341", "--output", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 1024
+    assert np.isfinite([[float(v) for v in row.values()] for row in rows]).all()
+
+
 def test_bad_known_w_list():
     assert main(["inverse-degenerate", "--l", "5", "--m", "3", "--mu", "x", "--side", "left",
                  "--known-w", "0.1,oops"]) == 2

@@ -1,11 +1,15 @@
 """Tests for the continuous problem: R, Delta, spectrum, benchmark potentials."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import frozenarg
 from frozenarg import (
     BracketFailure,
     WrongCount,
@@ -224,6 +228,14 @@ def test_sampled_potential_validation():
         sampled_potential([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(WrongCount):
         sampled_potential([0.0, 4.0], [1.0, 1.0])
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.interpolate is imported by sampled_potential alone; it dominates CLI start-up
+    src = os.path.dirname(os.path.dirname(frozenarg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, frozenarg; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------

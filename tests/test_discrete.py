@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from frozenarg import (
     BadIndex,
@@ -43,6 +44,21 @@ def recurrence_oracle(l, m, w, mu):
     p = fill(1.0, 0.0, 0.0)
     q = fill(0.0, 1.0, 1.0)
     return p[0], p[l + 1], q[0], q[l + 1]
+
+
+def dense_mu(w, m):
+    """Eigenvalues of the explicit matrix T - w e_m^T by dense numpy.linalg.eigvals."""
+    l = len(w)
+    a = (np.eye(l, k=1) + np.eye(l, k=-1)).astype(np.result_type(w, float))
+    a[:, m - 1] -= w
+    return np.linalg.eigvals(a)
+
+
+def match_error(got, want):
+    """Worst |got - want| / max(1, |want|) over the cheapest one-to-one pairing."""
+    cost = np.abs(got[:, None] - want[None, :]) / np.maximum(1.0, np.abs(want))[None, :]
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].max()
 
 
 def eval_series(series, mu):
@@ -245,3 +261,37 @@ def test_spectrum_iteration_cap():
     prob = DiscreteProblem.from_w(rand_w(rng, 10), 3)
     with pytest.raises(NoConvergence):
         discrete_spectrum(prob, max_iterations=1)
+
+
+@pytest.mark.parametrize("l", [64, 256, 1024])
+def test_spectrum_matches_dense_oracle(l):
+    rng = np.random.default_rng(l)
+    h = math.pi / (l + 1)
+    x = h * np.arange(1, l + 1)
+    q = x * (math.pi - x)
+    m = l // 3
+    got = discrete_spectrum(sample_problem(q, m)).mu
+    assert match_error(got, dense_mu(h * h * q, m)) <= 1e-10
+    w = rng.uniform(0, 1, l) * np.exp(2j * math.pi * rng.uniform(0, 1, l))
+    m = l // 2
+    got = discrete_spectrum(DiscreteProblem.from_w(w, m)).mu
+    assert match_error(got, dense_mu(w, m)) <= 1e-10
+
+
+def test_spectrum_degenerate_values_at_large_l():
+    # l + 1 = 256, m = 96: d = gcd = 32, so 2 cos(pi k / 32), k = 1..31, are eigenvalues for every w
+    rng = np.random.default_rng(18)
+    l, m, d = 255, 96, 32
+    fixed = 2.0 * np.cos(np.pi * np.arange(1, d) / d)
+    x = math.pi / (l + 1) * np.arange(1, l + 1)
+    for prob in (sample_problem(1.0 + np.cos(2.0 * x), m), DiscreteProblem.from_w(rand_w(rng, l), m)):
+        mu = discrete_spectrum(prob).mu
+        assert len(mu) == l
+        assert np.abs(mu[:, None] - fixed[None, :]).min(axis=0).max() <= 1e-12
+
+
+def test_spectrum_non_finite_input_raises():
+    w = np.zeros(6, dtype=complex)
+    w[2] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NoConvergence):
+        discrete_spectrum(DiscreteProblem.from_w(w, 2))

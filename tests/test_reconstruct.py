@@ -1,5 +1,6 @@
 """Tests for the correction-term reconstruction pipeline and rate harness."""
 
+import importlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from frozenarg import (
+    FrozenArgError,
     WrongCount,
     constant_potential,
     convergence_study,
@@ -112,6 +114,15 @@ def test_reconstruct_shares_code_path_with_solve_symmetric():
 def test_reconstruct_wrong_count():
     with pytest.raises(WrongCount):
         reconstruct([1.0, 9.0], 5)
+
+
+def test_reconstruct_rejects_imaginary_residue(monkeypatch):
+    # real eigenvalues give real coordinates; a complex or NaN one must raise, also under python -O
+    for bad in (0.5j, complex(math.nan, math.nan)):
+        monkeypatch.setattr(importlib.import_module("frozenarg.reconstruct"), "solve_symmetric",
+                            lambda mu, m, bad=bad: (bad, np.zeros(m - 1, dtype=complex)))
+        with pytest.raises(FrozenArgError):
+            reconstruct([1.0, 9.0, 25.0], 3)
 
 
 # ---------------------------------------------------------------------------
