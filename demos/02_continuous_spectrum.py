@@ -1,8 +1,8 @@
 """Eigenvalues of the continuous problem with the frozen point at pi/2.
 
 Shows the reduced characteristic function R, its closed forms against the
-quadrature route, and the bisection eigenvalue search for the benchmark
-potentials.  Run as: python demos/02_continuous_spectrum.py
+quadrature route, and the eigenvalue search (one sign-change scan of R, then
+joint bisection of every bracket) for the benchmark potentials.  Run as: python demos/02_continuous_spectrum.py
 """
 
 from frozenarg import (

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import continuous, inverse
 from .discrete import discrete_spectrum, sample_problem
-from .errors import ConfigError, FrozenArgError
+from .errors import ConfigError, FrozenArgError, WrongCount
 from .reconstruct import convergence_study, error_report, reconstruct_from_potential
 
 _COMMANDS = (
@@ -59,13 +59,15 @@ class RunConfig:
     side: str | None = None
     output: str | None = None
     format: str = "csv"
-    seed: int = 0
 
 
 def _load_potential(name: str):
     if name in ("quadratic", "tent", "constant", "zero"):
         return continuous.named_potential(name)
-    return continuous.potential_from_csv(name)
+    try:
+        return continuous.potential_from_csv(name)
+    except WrongCount as err:
+        raise ConfigError(f"potential file {name}: {err}") from err
 
 
 def _load_mu(path: str) -> np.ndarray:
@@ -333,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--side", choices=("left", "right"), help="which side the known w's sit on")
         p.add_argument("--output", help="write rendered table to this path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0, help="recorded in params for reproducibility")
     return parser
 
 
@@ -351,7 +352,6 @@ def config_from_args(argv=None) -> RunConfig:
         side=args.side,
         output=args.output,
         format=args.format,
-        seed=args.seed,
     )
 
 

@@ -8,7 +8,10 @@ With a = pi/2 the characteristic function factorizes,
 
 so the spectrum splits into the potential-independent eigenvalues (2n)^2 and
 the squares of the zeros of R.  Three benchmark potentials carry closed-form
-R; everything else goes through adaptive Gauss-Legendre panels.
+R.  Everything else is integrated on one composite Gauss-Legendre grid whose
+breakpoints include the spline knots folded into [0, pi/2]: p is sampled once
+per grid and R for a whole vector of rho is one matrix-vector product.  The
+grid's panels are doubled until halving them moves R by at most 1e-10.
 """
 
 from __future__ import annotations
@@ -19,12 +22,16 @@ from typing import Callable
 
 import numpy as np
 
+from .discrete import _BLOCK
 from .errors import BracketFailure, QuadratureFailure, WrongCount
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_MOMENT_NODES, _MOMENT_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _TAYLOR_CUTOFF = 0.1
 _TAYLOR_TERMS = 8
+_QUADRATURE_TOL = 1e-10  # largest change of R when every panel is halved
+_MAX_PANELS = 4096
+_SCAN_STEP = 0.25  # rho spacing of the sign-change scan for the zeros of R
+_ROOT_WIDTH = 1e-12  # bracket width at which bisection stops
 
 
 @dataclass
@@ -43,12 +50,10 @@ class BenchmarkPotential:
     _moments: list = field(default_factory=list, repr=False)
 
     def sine_moment(self, k: int) -> float:
-        """Cached moment int_0^{pi/2} p(t) t^(2k+1) dt (Gauss-Legendre, 64 nodes)."""
-        while len(self._moments) <= k:
-            j = len(self._moments)
-            t = 0.25 * math.pi * (_MOMENT_NODES + 1.0)
-            vals = np.asarray(self.p(t), dtype=float)
-            self._moments.append(float(0.25 * math.pi * np.sum(_MOMENT_WEIGHTS * vals * t ** (2 * j + 1))))
+        """Cached moment int_0^{pi/2} p(t) t^(2k+1) dt on the knot-aligned grid for |rho| <= 1."""
+        if len(self._moments) <= k:
+            t, wp = _quadrature_grid(self, 1.0)
+            self._moments = [float(wp @ t ** (2 * j + 1)) for j in range(max(k + 1, _TAYLOR_TERMS))]
         return self._moments[k]
 
 
@@ -117,6 +122,8 @@ def sampled_potential(x, q) -> BenchmarkPotential:
         raise WrongCount("need matching x and q samples, at least two points")
     if np.any(np.diff(x) <= 0):
         raise WrongCount("sample abscissae must be strictly increasing")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
+        raise WrongCount("samples must be finite")
     if x[0] < -1e-12 or x[-1] > math.pi + 1e-12:
         raise WrongCount("samples must lie inside [0, pi]")
     # imported here: scipy takes about 0.6 s to import and only sampled potentials need it
@@ -173,33 +180,67 @@ def _r_taylor(pot: BenchmarkPotential, rho: complex) -> complex:
     return complex(total)
 
 
-def _sin_kernel(rho, t):
-    """sin(rho t)/rho, continued by t at rho = 0."""
-    rt = rho * t
-    if abs(rho) < 1e-12:
-        return t * (1.0 - rt * rt / 6.0)
-    return np.sin(rt) / rho
+def _quadrature_grid(pot: BenchmarkPotential, rho_max: float, refine: int = 1):
+    """Composite 8-point Gauss-Legendre grid on [0, pi/2] with p sampled once.
+
+    The breakpoints are 0, pi/2 and the spline knots folded into [0, pi/2], so
+    every panel sees one cubic piece of p.  An interval of width h gets
+    ceil(h rho_max) * refine panels, so sin(rho t) stays resolved up to
+    rho_max.  Returns the nodes t and the weights times p(t).
+    """
+    edges = [0.0, math.pi / 2]
+    if pot.samples is not None:
+        x = pot.samples[:, 0]
+        edges = np.concatenate([edges, x, math.pi - x])
+    edges = np.unique(np.clip(edges, 0.0, math.pi / 2))
+    counts = np.ceil(np.diff(edges) * rho_max).astype(int) * refine
+    bounds = np.concatenate(
+        [np.linspace(a, b, c, endpoint=False) for a, b, c in zip(edges[:-1], edges[1:], counts)]
+        + [[math.pi / 2]]
+    )
+    half = 0.5 * np.diff(bounds)[:, None]
+    t = ((bounds[:-1, None] + half) + half * _GL_NODES).ravel()
+    w = (half * _GL_WEIGHTS).ravel()
+    return t, w * np.asarray(pot.p(t))
 
 
-def _r_quadrature(pot: BenchmarkPotential, rho: complex, tol: float = 1e-10) -> complex:
-    def panels(n):
-        edges = np.linspace(0.0, math.pi / 2, n + 1)
-        total = 0.0 + 0.0j
-        for a, b in zip(edges[:-1], edges[1:]):
-            t = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-            pv = np.asarray(pot.p(t), dtype=complex)
-            total += 0.5 * (b - a) * np.sum(_GL_WEIGHTS * pv * _sin_kernel(rho, t))
-        return total
-    prev = panels(1)
-    n = 2
-    while n <= 4096:
-        cur = panels(n)
-        if abs(cur - prev) <= tol:
-            return complex(2.0 * np.cos(rho * math.pi / 2) + cur)
-        prev = cur
-        n *= 2
+def _r_on_grid(grid, rho) -> np.ndarray:
+    """R = 2 cos(rho pi/2) + sin(rho t) @ (w p) / rho for a vector of nonzero rho.
+
+    The sin(rho t) matrix is built in row blocks of at most _BLOCK entries.
+    """
+    t, wp = grid
+    rho = np.asarray(rho)
+    integral = np.empty(rho.shape, dtype=np.result_type(rho, wp))
+    rows = max(1, _BLOCK // t.size)
+    for lo in range(0, rho.size, rows):
+        r = rho[lo : lo + rows]
+        integral[lo : lo + rows] = np.sin(np.outer(r, t)) @ wp / r
+    return 2.0 * np.cos(rho * math.pi / 2) + integral
+
+
+def _resolved_r(pot: BenchmarkPotential, rho_max: float, points):
+    """The points points(grid) picks on the knot-aligned grid, and R there.
+
+    points picks the rho where R must be accurate: the roots, or the one
+    requested rho.  The grid is accepted when halving every panel moves R at
+    those points by at most _QUADRATURE_TOL; until then its panels are
+    doubled, up to _MAX_PANELS.
+    """
+    refine = 1
+    grid = _quadrature_grid(pot, rho_max, refine)
+    change = math.inf
+    while grid[0].size <= _MAX_PANELS * len(_GL_NODES):
+        rho = points(grid)
+        r = _r_on_grid(grid, rho)
+        refine *= 2
+        finer = _quadrature_grid(pot, rho_max, refine)
+        change = float(np.max(np.abs(_r_on_grid(finer, rho) - r)))
+        if change <= _QUADRATURE_TOL:
+            return rho, r
+        grid = finer
     raise QuadratureFailure(
-        f"panel halving stalled at {n // 2} panels (last change {abs(cur - prev):.2e})"
+        f"R up to rho = {rho_max:g} needs more than {_MAX_PANELS} panels (last change {change:.2e})"
     )
 
 
@@ -214,13 +255,15 @@ def r_eval(pot: BenchmarkPotential, rho, method: str = "auto") -> complex:
     rho = complex(rho)
     if method not in ("auto", "closed", "quadrature"):
         raise WrongCount(f"unknown method {method!r}")
-    if method != "quadrature" and abs(rho) < _TAYLOR_CUTOFF:
+    # at rho = 0 the series is the integral itself: R(0) = 2 + int p(t) t dt
+    if abs(rho) < _TAYLOR_CUTOFF and (method != "quadrature" or rho == 0):
         return _r_taylor(pot, rho)
     if method == "closed" or (method == "auto" and pot.closed_r is not None):
         if pot.closed_r is None:
             raise WrongCount(f"potential kind {pot.kind!r} has no closed form")
         return complex(pot.closed_r(rho))
-    return _r_quadrature(pot, rho)
+    _, r = _resolved_r(pot, max(1.0, abs(rho)), lambda grid: np.array([rho]))
+    return complex(r[0])
 
 
 def delta_eval(pot: BenchmarkPotential, lam) -> complex:
@@ -251,44 +294,48 @@ class ContinuousSpectrum:
         return np.array([lam for _, lam in self.odd])
 
 
-def _bisect(f, a: float, b: float, fa: float, fb: float, tol: float = 1e-12) -> float:
-    while b - a > tol:
+def _odd_roots(r, count: int, end: float) -> np.ndarray:
+    """The zeros of the real function r on [0.1, end], which must number exactly count.
+
+    r takes a vector of rho.  Sign changes on a scan of step 0.25 bracket the
+    zeros; all brackets are then bisected together to a width of 1e-12.
+    """
+    scan = np.append(np.arange(_TAYLOR_CUTOFF, end, _SCAN_STEP), end)
+    positive = r(scan) > 0
+    cells = np.flatnonzero(positive[:-1] != positive[1:])
+    if cells.size != count:
+        raise BracketFailure(cells.size, count, end)
+    a, b, positive_a = scan[cells], scan[cells + 1], positive[cells]
+    while np.max(b - a) > _ROOT_WIDTH:
         mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fa * fm <= 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
+        left = (r(mid) > 0) == positive_a
+        a = np.where(left, mid, a)
+        b = np.where(left, b, mid)
     return 0.5 * (a + b)
 
 
 def continuous_spectrum(pot: BenchmarkPotential, n_max: int) -> ContinuousSpectrum:
     """Eigenvalues lambda_n for n <= n_max (real-valued potentials).
 
-    Odd n: bracket rho on [n - 1/2, n + 1/2], widening once to [n - 0.9, n + 0.9]
-    (the low tent/constant/quadratic roots stray past the half-width bracket),
-    and bisect the real function R to an interval of 1e-12.  Even n: (2k)^2.
+    Odd n: the zeros rho_1 < rho_3 < ... of R on [0.1, 2k], k = (n_max+1)//2
+    odd indices, from one sign-change scan of step 0.25 and a joint bisection
+    to an interval of 1e-12.  BracketFailure is raised unless the scan finds
+    exactly k sign changes.  Without a closed form, R comes from the
+    knot-aligned quadrature grid, refined until halving its panels moves R at
+    the roots by at most 1e-10 (QuadratureFailure past 4096 panels).
+    Even n: (2k)^2.
     """
     if n_max < 1:
         raise WrongCount("n_max must be >= 1")
-    f = lambda rho: r_eval(pot, rho).real
-    odd = []
-    for n in range(1, n_max + 1, 2):
-        root = None
-        for half in (0.5, 0.9):
-            a, b = n - half, n + half
-            fa, fb = f(a), f(b)
-            if fa * fb < 0:
-                root = _bisect(f, a, b, fa, fb)
-                break
-            if fa == 0:
-                root = a
-                break
-            if fb == 0:
-                root = b
-                break
-        if root is None:
-            raise BracketFailure(n)
-        odd.append((n, root * root))
+    count = (n_max + 1) // 2
+    end = 2.0 * count  # the next zero, of index 2k + 1, lies near rho = 2k + 1
+    if pot.closed_r is not None:
+        rho = _odd_roots(lambda x: pot.closed_r(x).real, count, end)
+    else:
+        def roots(grid):
+            return _odd_roots(lambda x: _r_on_grid(grid, x).real, count, end)
+
+        rho, _ = _resolved_r(pot, end, roots)
+    odd = [(n, float(root * root)) for n, root in zip(range(1, n_max + 1, 2), rho)]
     even = [(n, float(n * n)) for n in range(2, n_max + 1, 2)]
     return ContinuousSpectrum(odd=tuple(odd), even=tuple(even))

@@ -49,15 +49,18 @@ class SideDataMismatch(FrozenArgError):
 
 
 class QuadratureFailure(FrozenArgError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Halving the quadrature panels still moves R by more than 1e-10 at the panel cap."""
 
 
 class BracketFailure(FrozenArgError):
-    """No sign change found for eigenvalue index n, even after widening."""
+    """The root scan of R found a different number of sign changes than roots requested."""
 
-    def __init__(self, n, message=None):
-        super().__init__(message or f"no sign change bracketing the root near rho = {n}")
-        self.n = n
+    def __init__(self, found, needed, end):
+        super().__init__(
+            f"R changes sign {found} times on [0.1, {end:g}], expected {needed} odd eigenvalues"
+        )
+        self.found = found
+        self.needed = needed
 
 
 class ConfigError(FrozenArgError):

@@ -124,7 +124,7 @@ def test_json_schema_keys(tmp_path):
 def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
-        run(RunConfig(command="reconstruct", potential="tent", m=5, seed=7, output=str(path)))
+        run(RunConfig(command="reconstruct", potential="tent", m=5, output=str(path)))
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -174,6 +174,14 @@ def test_inverse_malformed_mu_file(tmp_path, capsys):
     mu_file = tmp_path / "mu.csv"
     mu_file.write_text("0.5,0.1\n0.25,abc\n")
     assert main(["inverse", "--l", "2", "--m", "1", "--mu", str(mu_file)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+
+
+def test_potential_file_with_nan_sample(tmp_path, capsys):
+    csv_file = tmp_path / "q.csv"
+    csv_file.write_text("0.0,1.0\n1.5,nan\n3.0,1.0\n")
+    assert main(["spectrum-continuous", "--potential", str(csv_file), "--n-max", "3"]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
 

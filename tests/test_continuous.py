@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 import frozenarg
 from frozenarg import (
@@ -39,11 +41,57 @@ LAMBDA_N = {
 }
 
 
+KNOTS = np.linspace(0, math.pi, 41)
+FOLDED_KNOTS = np.unique(np.minimum(KNOTS, math.pi - KNOTS))
+
+
 def loglog_slope(xs, ys):
     x = np.log(np.asarray(xs, dtype=float))
     y = np.log(np.asarray(ys, dtype=float))
     a = np.vstack([x, np.ones_like(x)]).T
     return float(np.linalg.lstsq(a, y, rcond=None)[0][0])
+
+
+def spline_r_oracle(qk, rho, edges=FOLDED_KNOTS):
+    """R(rho) for the spline through (KNOTS, qk): scipy.quad on each interval between edges."""
+    spline = CubicSpline(KNOTS, qk)
+
+    def p(t):
+        return float(spline(t) + spline(math.pi - t))
+
+    pieces = zip(edges[:-1], edges[1:])
+    if rho == 0:
+        integral = sum(quad(lambda t: p(t) * t, a, b, epsabs=1e-15)[0] for a, b in pieces)
+    else:
+        integral = sum(quad(p, a, b, weight="sin", wvar=rho, epsabs=1e-15)[0] for a, b in pieces) / rho
+    return 2.0 * math.cos(rho * math.pi / 2) + integral
+
+
+def spline_odd_lambdas(family, a, count):
+    """Knot values and the squares of the first count zeros of the oracle R for a * family.
+
+    Sign changes on a half-unit rho grid bracket the zeros, brentq refines
+    them.  The x(pi-x) spline is the quadratic itself, so one QUADPACK sine
+    integral over [0, pi/2] is exact there and far cheaper than one per knot
+    interval; 1+cos 2x needs the knots as breakpoints.
+    """
+    if family == "x(pi-x)":
+        qk, edges = a * KNOTS * (math.pi - KNOTS), np.array([0.0, math.pi / 2])
+    else:
+        qk, edges = a * (1.0 + np.cos(2.0 * KNOTS)), FOLDED_KNOTS
+
+    def r(rho):
+        return spline_r_oracle(qk, rho, edges)
+
+    scan = np.arange(0.25, 2 * count + 0.5, 0.5)
+    vals = [r(x) for x in scan]
+    roots = [
+        brentq(r, lo, hi, xtol=1e-14, rtol=1e-15)
+        for lo, hi, f_lo, f_hi in zip(scan[:-1], scan[1:], vals[:-1], vals[1:])
+        if f_lo * f_hi < 0
+    ]
+    assert len(roots) == count
+    return qk, np.asarray(roots) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +144,15 @@ def test_r_at_zero_matches_moment_oracle():
         pot = make()
         moment = quad(lambda t: float(pot.p(t)) * t, 0, math.pi / 2)[0]
         assert abs(r_eval(pot, 0.0) - (2 + moment)) < 1e-10, name
+
+
+@pytest.mark.parametrize("qk", [1.0 + np.cos(2.0 * KNOTS), 60.0 * np.sin(KNOTS)], ids=["1+cos2x", "60sinx"])
+def test_small_rho_series_matches_knot_aligned_oracle(qk):
+    # the moments of the Taylor path integrate the spline piece by piece, so R
+    # below |rho| = 0.1 is as accurate as the quadrature route above it
+    pot = sampled_potential(KNOTS, qk)
+    for rho in (0.0, 0.05):
+        assert abs(r_eval(pot, rho) - spline_r_oracle(qk, rho)) <= 1e-12, rho
 
 
 def test_r_complex_argument():
@@ -176,6 +233,44 @@ def test_bracket_failure_raises():
         continuous_spectrum(pot, 1)
 
 
+@pytest.mark.parametrize(
+    "family, n_max", [("x(pi-x)", 9), ("x(pi-x)", 39), ("x(pi-x)", 199), ("1+cos2x", 9), ("1+cos2x", 39)]
+)
+def test_spline_spectrum_matches_quadpack_oracle(family, n_max):
+    qk, want = spline_odd_lambdas(family, 1.0, (n_max + 1) // 2)
+    got = continuous_spectrum(sampled_potential(KNOTS, qk), n_max).odd_lambdas
+    assert np.max(np.abs(got - want) / want) <= 1e-10
+
+
+def test_steep_spline_first_root_past_unit_bracket():
+    # 1.25 x(pi-x) puts rho_1 near 2.06, beyond the old [0.1, 1.9] bracket
+    qk, want = spline_odd_lambdas("x(pi-x)", 1.25, 5)
+    got = continuous_spectrum(sampled_potential(KNOTS, qk), 9).odd_lambdas
+    assert math.sqrt(got[0]) > 2.0
+    assert np.max(np.abs(got - want) / want) <= 1e-10
+
+
+def test_negative_first_eigenvalue_is_a_count_mismatch():
+    # -2 x(pi-x) makes lambda_1 < 0: R has one sign change fewer than requested
+    pot = sampled_potential(KNOTS, -2.0 * KNOTS * (math.pi - KNOTS))
+    with pytest.raises(BracketFailure) as info:
+        continuous_spectrum(pot, 9)
+    assert (info.value.found, info.value.needed) == (4, 5)
+
+
+def test_spline_spectrum_samples_p_at_most_four_times():
+    pot = sampled_potential(KNOTS, KNOTS * (math.pi - KNOTS))
+    p, calls = pot.p, []
+
+    def counted(t):
+        calls.append(t)
+        return p(t)
+
+    pot.p = counted
+    continuous_spectrum(pot, 39)
+    assert 1 <= len(calls) <= 4
+
+
 # ---------------------------------------------------------------------------
 # benchmark potential plumbing
 # ---------------------------------------------------------------------------
@@ -228,6 +323,12 @@ def test_sampled_potential_validation():
         sampled_potential([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(WrongCount):
         sampled_potential([0.0, 4.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("x, q", [([0.0, 1.0, 2.0], [1.0, np.nan, 3.0]), ([0.0, np.nan, 2.0], [1.0, 2.0, 3.0])])
+def test_sampled_potential_rejects_non_finite(x, q):
+    with pytest.raises(WrongCount):
+        sampled_potential(x, q)
 
 
 def test_import_leaves_scipy_unloaded():
