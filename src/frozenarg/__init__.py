@@ -3,7 +3,7 @@
 Layers:
 
 * :mod:`frozenarg.chebypoly` - the monic second-kind-Chebyshev basis engine
-  (conversions, products, interpolation, root finding);
+  (conversions, products, the psi-grid DST-I, interpolation, root finding);
 * :mod:`frozenarg.discrete` - the finite-difference system, its characteristic
   polynomial and spectrum;
 * :mod:`frozenarg.inverse` - recovery of the coefficients from spectra
@@ -19,12 +19,10 @@ from .chebypoly import (
     Poly,
     PsiSeries,
     interpolate,
-    leja_order,
     poly_from_roots,
     poly_roots,
     poly_to_psi,
     psi_eval,
-    psi_from_roots,
     psi_mul,
     psi_poly,
     psi_to_poly,

@@ -1,12 +1,14 @@
-"""Polynomial substrate: the psi basis, conversions, arithmetic, interpolation, roots.
+"""Polynomial substrate: the psi basis, conversions, arithmetic, DST-I, interpolation, roots.
 
 The basis polynomials are the monic second-kind-Chebyshev relatives
 
     psi_0 = 0,  psi_1 = 1,  psi_{n+1}(mu) = mu * psi_n(mu) - psi_{n-1}(mu),
 
 so psi_n(2 cos theta) = sin(n theta) / sin(theta), deg(psi_n) = n - 1, and the
-zeros of psi_n are 2 cos(pi k / n), k = 1..n-1.  Their monomial coefficients are
-integers, exact in double precision up to n ~ 80, which several routines exploit.
+zeros of psi_n are 2 cos(pi k / n), k = 1..n-1.  On those zeros psi coordinates
+are one DST-I of the values times sin(theta) (:func:`_dst1`).  The monomial
+coefficients of psi_n are integers, exact in double precision up to n ~ 80,
+which several routines exploit.
 
 Everything here works over complex double-precision coefficients.  The basis
 conversions additionally carry a compensated (double-double) accumulation so the
@@ -254,6 +256,22 @@ def psi_zeros(n: int) -> np.ndarray:
     return 2.0 * np.cos(np.pi * k / n)
 
 
+def _dst1(g) -> np.ndarray:
+    """DST-I sum_k g_k sin(jk pi/n), j = 1..n-1, with n = len(g) + 1.
+
+    One numpy FFT of the odd extension of g.  Since psi_j(2 cos theta) =
+    sin(j theta) / sin(theta), the psi coordinates c_1..c_{n-1} of a
+    polynomial in span(psi_1..psi_{n-1}) are (2/n) _dst1(f(nu_k) sin(theta_k))
+    from its values at the zeros nu_k = 2 cos(theta_k) of psi_n.
+    """
+    g = np.asarray(g)
+    n = len(g) + 1
+    ext = np.zeros(2 * n, dtype=complex)
+    ext[1:n] = g
+    ext[n + 1 :] = -g[::-1]
+    return 0.5j * np.fft.fft(ext)[1:n]
+
+
 def psi_to_poly(series: PsiSeries) -> Poly:
     """Expand a psi series into monomial coefficients (compensated)."""
     cs = series.coeffs
@@ -349,33 +367,6 @@ def poly_from_roots(roots) -> Poly:
         nxt[:-1] -= r * c
         c = nxt
     return Poly(c)
-
-
-def leja_order(points) -> list[complex]:
-    """Greedy Leja ordering: start at max modulus, then maximize distance products."""
-    pts = [complex(p) for p in points]
-    return [pts[i] for i in _leja_index_order(pts)]
-
-
-def psi_from_roots(roots) -> PsiSeries:
-    """Monic product prod (mu - r) expressed directly in the psi basis.
-
-    Accumulated via mu * psi_j = psi_{j+1} + psi_{j-1} with Leja-ordered roots,
-    which keeps intermediate coefficients O(1) for roots in [-2, 2]; the
-    monomial route loses ~eps * F_m there.  Leading coefficient is exactly 1.
-    """
-    rs = leja_order(roots)
-    c = np.zeros(len(rs) + 1, dtype=complex)
-    c[0] = 1.0  # psi_1
-    deg = 1
-    for r in rs:
-        nxt = np.zeros_like(c)
-        nxt[1 : deg + 1] += c[:deg]       # psi_j -> psi_{j+1}
-        nxt[: deg - 1] += c[1:deg]        # psi_j -> psi_{j-1}, psi_0 = 0
-        nxt[:deg] -= r * c[:deg]
-        c = nxt
-        deg += 1
-    return PsiSeries(c)
 
 
 def interpolate(nodes, values) -> Poly:

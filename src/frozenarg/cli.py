@@ -33,17 +33,6 @@ from .discrete import discrete_spectrum, sample_problem
 from .errors import ConfigError, FrozenArgError, WrongCount
 from .reconstruct import convergence_study, error_report, reconstruct_from_potential
 
-_COMMANDS = (
-    "forward",
-    "inverse",
-    "inverse-degenerate",
-    "spectrum-continuous",
-    "reconstruct",
-    "reproduce-tables",
-    "convergence",
-)
-
-
 @dataclass
 class RunConfig:
     """One CLI invocation: exactly one command plus its validated flags."""
@@ -111,17 +100,21 @@ def _run_forward(config: RunConfig):
     return rows, {}, None
 
 
+def _w_rows(w, l: int):
+    """One row per index j: w_j and q_j = w_j / h^2, h = pi/(l+1)."""
+    h = math.pi / (l + 1)
+    q = w / h**2
+    return [
+        {"j": j + 1, "w_re": w[j].real, "w_im": w[j].imag, "q_re": q[j].real, "q_im": q[j].imag}
+        for j in range(l)
+    ]
+
+
 def _run_inverse(config: RunConfig):
     _require(config, "l", "m", "mu_path")
     mu = _load_mu(config.mu_path)
     w = inverse.solve_nondegenerate(mu, config.m, l=config.l)
-    h = math.pi / (config.l + 1)
-    q = w / h**2
-    rows = [
-        {"j": j + 1, "w_re": w[j].real, "w_im": w[j].imag, "q_re": q[j].real, "q_im": q[j].imag}
-        for j in range(config.l)
-    ]
-    return rows, {}, None
+    return _w_rows(w, config.l), {}, None
 
 
 def _run_inverse_degenerate(config: RunConfig):
@@ -130,13 +123,8 @@ def _run_inverse_degenerate(config: RunConfig):
     data = inverse.DegenerateData(side=config.side, known_w=config.known_w, d=d)
     mu = _load_mu(config.mu_path)
     w = inverse.solve_degenerate(mu, config.m, config.l, data)
-    h = math.pi / (config.l + 1)
-    q = w / h**2
-    rows = [
-        {"j": j + 1, "w_re": w[j].real, "w_im": w[j].imag, "q_re": q[j].real, "q_im": q[j].imag}
-        for j in range(config.l)
-    ]
-    return rows, {"d": d, "degenerate_mu": [_c(z) for z in inverse.degenerate_mu(config.l, config.m)]}, None
+    diagnostics = {"d": d, "degenerate_mu": [_c(z) for z in inverse.degenerate_mu(config.l, config.m)]}
+    return _w_rows(w, config.l), diagnostics, None
 
 
 def _run_spectrum_continuous(config: RunConfig):
@@ -147,12 +135,6 @@ def _run_spectrum_continuous(config: RunConfig):
     rows += [{"n": n, "lambda": lam, "degenerate": True} for n, lam in spec.even]
     rows.sort(key=lambda r: r["n"])
     return rows, {}, None
-
-
-_RECONSTRUCT_COLUMNS = (
-    "block", "index", "lambda_n", "lambda_nl", "lambda_tilde_nl", "delta_nl",
-    "x", "q_true", "q_tilde", "delta_q",
-)
 
 
 def _reconstruct_rows(pot, m: int, potential_name: str):
@@ -323,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral toolkit for the frozen-argument Sturm-Liouville problem",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--potential", help="quadratic|tent|constant|zero or a (x,q) CSV path")
         p.add_argument("--l", type=int, help="grid size")

@@ -8,7 +8,8 @@ With a = pi/2 the characteristic function factorizes,
 
 so the spectrum splits into the potential-independent eigenvalues (2n)^2 and
 the squares of the zeros of R.  Three benchmark potentials carry closed-form
-R.  Everything else is integrated on one composite Gauss-Legendre grid whose
+R for |rho| >= 0.1, below which the closed forms cancel catastrophically.
+Everything else is integrated on one composite Gauss-Legendre grid whose
 breakpoints include the spline knots folded into [0, pi/2]: p is sampled once
 per grid and R for a whole vector of rho is one matrix-vector product.  The
 grid's panels are doubled until halving them moves R by at most 1e-10.
@@ -17,7 +18,7 @@ grid's panels are doubled until halving them moves R by at most 1e-10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,8 +27,7 @@ from .discrete import _BLOCK
 from .errors import BracketFailure, QuadratureFailure, WrongCount
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_TAYLOR_CUTOFF = 0.1
-_TAYLOR_TERMS = 8
+_SMALL_RHO = 0.1  # below this |rho| the closed forms cancel; also where the root scan starts
 _QUADRATURE_TOL = 1e-10  # largest change of R when every panel is halved
 _MAX_PANELS = 4096
 _SCAN_STEP = 0.25  # rho spacing of the sign-change scan for the zeros of R
@@ -47,14 +47,6 @@ class BenchmarkPotential:
     p: Callable
     closed_r: Callable | None = None
     samples: np.ndarray | None = None
-    _moments: list = field(default_factory=list, repr=False)
-
-    def sine_moment(self, k: int) -> float:
-        """Cached moment int_0^{pi/2} p(t) t^(2k+1) dt on the knot-aligned grid for |rho| <= 1."""
-        if len(self._moments) <= k:
-            t, wp = _quadrature_grid(self, 1.0)
-            self._moments = [float(wp @ t ** (2 * j + 1)) for j in range(max(k + 1, _TAYLOR_TERMS))]
-        return self._moments[k]
 
 
 def quadratic_potential() -> BenchmarkPotential:
@@ -147,7 +139,7 @@ def potential_from_csv(path) -> BenchmarkPotential:
 
 
 # ---------------------------------------------------------------------------
-# closed forms, stable small-rho path, quadrature
+# closed forms, quadrature
 # ---------------------------------------------------------------------------
 
 def _r_quadratic(rho):
@@ -167,17 +159,6 @@ def _r_constant(rho):
     rho = np.asarray(rho, dtype=complex)
     c = np.cos(rho * math.pi / 2)
     return 2.0 * c + 2.0 / rho**2 * (1.0 - c)
-
-
-def _r_taylor(pot: BenchmarkPotential, rho: complex) -> complex:
-    # R(rho) = 2 cos(rho pi/2) + sum_k (-1)^k rho^(2k) M_k / (2k+1)!,
-    # M_k = int p(t) t^(2k+1) dt.  The closed forms cancel catastrophically
-    # below |rho| ~ 0.1; this series is their Taylor expansion and is exact
-    # at the removable point rho = 0.
-    total = 2.0 * np.cos(rho * math.pi / 2)
-    for k in range(_TAYLOR_TERMS):
-        total += (-1) ** k * rho ** (2 * k) * pot.sine_moment(k) / math.factorial(2 * k + 1)
-    return complex(total)
 
 
 def _quadrature_grid(pot: BenchmarkPotential, rho_max: float, refine: int = 1):
@@ -248,19 +229,21 @@ def r_eval(pot: BenchmarkPotential, rho, method: str = "auto") -> complex:
     """R(rho), the reduced characteristic function whose zeros give the odd eigenvalues.
 
     method: "auto" prefers the closed form when the potential has one,
-    "closed" forces it, "quadrature" forces the integral route.  Small |rho|
-    always goes through the Taylor/moment series, where the closed forms lose
-    up to eight digits to cancellation.
+    "closed" forces it (WrongCount if there is none), "quadrature" forces the
+    integral route.  Below |rho| = 0.1, where the closed forms lose up to
+    eight digits to cancellation, every method takes the knot-aligned grid:
+    sin(rho t)/rho does not cancel.  At the removable point rho = 0 that is
+    R(0) = 2 + int p(t) t dt on the rho_max = 1 grid, exact for cubic pieces.
     """
     rho = complex(rho)
     if method not in ("auto", "closed", "quadrature"):
         raise WrongCount(f"unknown method {method!r}")
-    # at rho = 0 the series is the integral itself: R(0) = 2 + int p(t) t dt
-    if abs(rho) < _TAYLOR_CUTOFF and (method != "quadrature" or rho == 0):
-        return _r_taylor(pot, rho)
-    if method == "closed" or (method == "auto" and pot.closed_r is not None):
-        if pot.closed_r is None:
-            raise WrongCount(f"potential kind {pot.kind!r} has no closed form")
+    if method == "closed" and pot.closed_r is None:
+        raise WrongCount(f"potential kind {pot.kind!r} has no closed form")
+    if rho == 0:
+        t, wp = _quadrature_grid(pot, 1.0)
+        return complex(2.0 + wp @ t)
+    if abs(rho) >= _SMALL_RHO and method != "quadrature" and pot.closed_r is not None:
         return complex(pot.closed_r(rho))
     _, r = _resolved_r(pot, max(1.0, abs(rho)), lambda grid: np.array([rho]))
     return complex(r[0])
@@ -300,7 +283,7 @@ def _odd_roots(r, count: int, end: float) -> np.ndarray:
     r takes a vector of rho.  Sign changes on a scan of step 0.25 bracket the
     zeros; all brackets are then bisected together to a width of 1e-12.
     """
-    scan = np.append(np.arange(_TAYLOR_CUTOFF, end, _SCAN_STEP), end)
+    scan = np.append(np.arange(_SMALL_RHO, end, _SCAN_STEP), end)
     positive = r(scan) > 0
     cells = np.flatnonzero(positive[:-1] != positive[1:])
     if cells.size != count:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chebypoly import Poly, PsiSeries, _aberth_correction, psi_to_poly
+from .chebypoly import Poly, PsiSeries, _aberth_correction, _dst1, psi_to_poly, psi_zeros
 from .errors import BadIndex, NoConvergence, WrongCount
 
 _EPS = np.finfo(float).eps
@@ -56,6 +56,8 @@ class DiscreteProblem:
             q = np.atleast_1d(np.asarray(self.q, dtype=complex)).copy()
             q.setflags(write=False)
             object.__setattr__(self, "q", q)
+        if not np.isfinite(w).all() or (self.q is not None and not np.isfinite(self.q).all()):
+            raise WrongCount("coefficients must be finite")
 
     @staticmethod
     def from_w(w, m: int) -> "DiscreteProblem":
@@ -103,6 +105,8 @@ def sample_problem(q_values, m: int) -> DiscreteProblem:
         raise WrongCount("need at least one sample")
     if not 1 <= m <= l:
         raise BadIndex(f"frozen index m={m} outside [1, {l}]")
+    if not np.isfinite(q).all():  # before h^2 q, where inf + 0j turns into nan
+        raise WrongCount("coefficients must be finite")
     h = math.pi / (l + 1)
     return DiscreteProblem(l=l, m=m, h=h, w=h * h * q, q=q)
 
@@ -190,17 +194,13 @@ def _secular_weights(p: DiscreteProblem) -> tuple[np.ndarray, np.ndarray]:
     """Poles nu_k and weights a_k = s_mk (S w)_k of the secular function.
 
     S is the orthonormal DST-I matrix, s_jk = sqrt(2/(l+1)) sin(jk pi/(l+1));
-    S w comes from one FFT of the odd extension of w.
+    S w comes from one _dst1 of w.
     """
     n = p.l + 1
     k = np.arange(1, n)
-    ext = np.zeros(2 * n, dtype=complex)
-    ext[1:n] = p.w
-    ext[n + 1 :] = -p.w[::-1]
-    dst = 0.5j * np.fft.fft(ext)[1:n]  # sum_j w_j sin(jk pi/n)
     # m k reduced mod 2n: sin(pi m k / n) is then 0 or ~1e-16 when n divides m k
     s_m = np.sin(np.pi * ((p.m * k) % (2 * n)) / n)
-    return 2.0 * np.cos(np.pi * k / n), (2.0 / n) * s_m * dst
+    return psi_zeros(n), (2.0 / n) * s_m * _dst1(p.w)
 
 
 def discrete_spectrum(p: DiscreteProblem, max_iterations: int = 500) -> Spectrum:

@@ -23,12 +23,13 @@ import numpy as np
 
 from .chebypoly import (
     Poly,
+    _dst1,
     interpolate,
     poly_from_roots,
     poly_to_psi,
     psi_eval,
-    psi_from_roots,
     psi_poly,
+    psi_zeros,
 )
 from .errors import (
     DegenerateConfiguration,
@@ -130,14 +131,14 @@ def solve_nondegenerate(mu, m: int, l: int | None = None) -> np.ndarray:
     w[m - 1] = wm
 
     if m >= 2:
-        nus = 2.0 * np.cos(np.pi * np.arange(1, m) / m)
+        nus = psi_zeros(m)
         # at zeros of P_0 = psi_m:  Q_0 = -D / P_{l+1} = D / psi_{l-m+1}
         vals = [_prod_eval(mu, nu) / psi_eval(l - m + 1, nu) for nu in nus]
         q0 = interpolate(nus, vals)
         _read_left(w, q0, m)
 
     if m <= l - 1:
-        thetas = 2.0 * np.cos(np.pi * np.arange(1, l - m + 1) / (l - m + 1))
+        thetas = psi_zeros(l - m + 1)
         # at zeros of P_{l+1} = -psi_{l-m+1}:  Q_{l+1} = D / P_0 = D / psi_m,
         # with the known leading monomials mu^{l-m+1} + w_m mu^{l-m} removed
         vals = [
@@ -152,8 +153,7 @@ def solve_nondegenerate(mu, m: int, l: int | None = None) -> np.ndarray:
 
 def degenerate_mu(l: int, m: int) -> np.ndarray:
     """The potential-independent eigenvalues 2 cos(pi k / d), k = 1..d-1."""
-    d = math.gcd(m, l + 1)
-    return 2.0 * np.cos(np.pi * np.arange(1, d) / d)
+    return psi_zeros(math.gcd(m, l + 1))
 
 
 def strip_degenerate(mu, l: int, m: int, tol: float = 1e-8) -> np.ndarray:
@@ -248,15 +248,18 @@ def solve_symmetric(mu_odd, m: int) -> tuple[complex, np.ndarray]:
     so after removing the known leading combination the psi coordinates are
     exactly (s_1, .., s_{m-1}, w_m) with s_j = w_j + w_{l+1-j}.
 
-    The product is accumulated directly in the psi basis (Leja-ordered roots),
-    which keeps the free-problem output at zero to ~1e-12 even for m = 32.
+    The product G is evaluated at the zeros nu_k = 2 cos(theta_k),
+    theta_k = pi k/(m+1), of psi_{m+1}, where its monic psi_{m+1} term
+    vanishes, so c_1..c_m = (2/(m+1)) DST-I(G(nu_k) sin(theta_k)).  The
+    free-problem output stays at zero to ~1e-13 up to m = 512.
     """
     mu_odd = np.atleast_1d(np.asarray(mu_odd, dtype=complex))
     if len(mu_odd) != m:
         raise WrongCount(f"expected {m} eigenvalues, got {len(mu_odd)}")
-    g = psi_from_roots(mu_odd)  # coordinates c_1..c_{m+1}, c_{m+1} = 1 exactly
-    z = np.array(g.coeffs[:m], dtype=complex)
+    theta = np.pi * np.arange(1, m + 1) / (m + 1)
+    g = np.prod(psi_zeros(m + 1)[:, None] - mu_odd, axis=1)
+    z = (2.0 / (m + 1)) * _dst1(g * np.sin(theta))  # coordinates c_1..c_m
     if m >= 2:
-        z[m - 2] += 1.0  # + psi_{m-1}; the monic psi_{m+1} term cancels exactly
+        z[m - 2] += 1.0  # + psi_{m-1}
     wm = complex(z[m - 1])
     return wm, z[: m - 1]

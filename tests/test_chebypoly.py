@@ -16,12 +16,12 @@ from frozenarg import (
     poly_roots,
     poly_to_psi,
     psi_eval,
-    psi_from_roots,
     psi_mul,
     psi_poly,
     psi_to_poly,
     psi_zeros,
 )
+from frozenarg.chebypoly import _dst1
 
 
 def psi_int_oracle(n):
@@ -83,6 +83,17 @@ def test_psi_zeros_are_zeros():
     for n in (2, 6, 17):
         for z in psi_zeros(n):
             assert abs(psi_eval(n, z)) < 1e-10 * n
+
+
+def test_dst1_gives_psi_coordinates_from_zero_values():
+    # c_j = (2/n) sum_k f(nu_k) sin(theta_k) sin(jk pi/n) at the zeros of psi_n
+    rng = np.random.default_rng(6)
+    for n in (2, 7, 64):
+        c = rng.uniform(-1, 1, n - 1) + 1j * rng.uniform(-1, 1, n - 1)
+        theta = np.pi * np.arange(1, n) / n
+        values = sum(c[j - 1] * psi_eval(j, psi_zeros(n)) for j in range(1, n))
+        got = (2.0 / n) * _dst1(values * np.sin(theta))
+        assert np.max(np.abs(got - c)) <= 1e-13, n
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +177,7 @@ def test_psi_mul_exact_integers_up_to_30():
 
 
 # ---------------------------------------------------------------------------
-# poly_from_roots / psi_from_roots
+# poly_from_roots
 # ---------------------------------------------------------------------------
 
 def test_poly_from_roots_empty_is_one():
@@ -193,16 +204,6 @@ def test_poly_from_roots_conjugate_symmetric_real_coeffs():
     p = poly_from_roots(roots)
     scale = np.max(np.abs(p.coeffs))
     assert np.max(np.abs(p.coeffs.imag)) <= 1e-12 * scale
-
-
-def test_psi_from_roots_matches_monomial_route():
-    rng = np.random.default_rng(5)
-    roots = rng.uniform(-1.9, 1.9, 9)
-    s = psi_from_roots(roots)
-    ref = poly_from_roots(roots)
-    got = psi_to_poly(s)
-    assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-10 * np.max(np.abs(ref.coeffs))
-    assert s.coeffs[-1] == 1.0  # exactly monic in the psi basis
 
 
 # ---------------------------------------------------------------------------

@@ -125,9 +125,9 @@ def test_closed_form_matches_quadrature():
 
 
 def test_small_rho_series_agrees_with_closed_form():
-    # across the |rho| = 0.1 switch the two routes must join smoothly; the
-    # reference at 0.09 is the quadrature route, immune to the closed-form
-    # cancellation
+    # across the |rho| = 0.1 switch from the knot-aligned grid to the closed
+    # form the two routes must join smoothly; the reference is the quadrature
+    # route, immune to the closed-form cancellation
     for name, make in NAMED.items():
         pot = make()
         lo = r_eval(pot, 0.09)
@@ -148,11 +148,35 @@ def test_r_at_zero_matches_moment_oracle():
 
 @pytest.mark.parametrize("qk", [1.0 + np.cos(2.0 * KNOTS), 60.0 * np.sin(KNOTS)], ids=["1+cos2x", "60sinx"])
 def test_small_rho_series_matches_knot_aligned_oracle(qk):
-    # the moments of the Taylor path integrate the spline piece by piece, so R
-    # below |rho| = 0.1 is as accurate as the quadrature route above it
+    # the knot-aligned grid integrates the spline piece by piece, so R below
+    # |rho| = 0.1 is as accurate as the quadrature route above it
     pot = sampled_potential(KNOTS, qk)
     for rho in (0.0, 0.05):
         assert abs(r_eval(pot, rho) - spline_r_oracle(qk, rho)) <= 1e-12, rho
+
+
+@pytest.mark.parametrize("method", ["auto", "closed"])
+@pytest.mark.parametrize("rho", [0.05 + 0.03j, 1e-6j, 1e-9])
+def test_small_rho_matches_quad(rho, method):
+    # below |rho| = 0.1 every method takes the grid, where sin(rho t)/rho
+    # does not cancel; scipy.quad on the real and imaginary parts is the oracle
+    for name, make in NAMED.items():
+        pot = make()
+
+        def kernel(t):
+            return pot.p(t) * np.sin(rho * t) / rho
+
+        re = quad(lambda t: kernel(t).real, 0, math.pi / 2, epsabs=1e-15)[0]
+        im = quad(lambda t: kernel(t).imag, 0, math.pi / 2, epsabs=1e-15)[0]
+        want = 2.0 * np.cos(rho * math.pi / 2) + re + 1j * im
+        assert abs(r_eval(pot, rho, method=method) - want) <= 1e-13, name
+
+
+def test_closed_method_without_closed_form_raises():
+    pot = sampled_potential(KNOTS, 1.0 + np.cos(2.0 * KNOTS))
+    for rho in (0.0, 0.05, 2.0):
+        with pytest.raises(WrongCount):
+            r_eval(pot, rho, method="closed")
 
 
 def test_r_complex_argument():

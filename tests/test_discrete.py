@@ -10,6 +10,7 @@ from frozenarg import (
     BadIndex,
     DiscreteProblem,
     NoConvergence,
+    WrongCount,
     char_poly,
     d_eval,
     discrete_spectrum,
@@ -293,5 +294,7 @@ def test_spectrum_degenerate_values_at_large_l():
 def test_spectrum_non_finite_input_raises():
     w = np.zeros(6, dtype=complex)
     w[2] = np.nan
-    with np.errstate(invalid="ignore"), pytest.raises(NoConvergence):
+    with pytest.raises(WrongCount):
         discrete_spectrum(DiscreteProblem.from_w(w, 2))
+    with pytest.raises(WrongCount):
+        sample_problem([1, np.inf, 2], 2)

@@ -11,6 +11,7 @@ from frozenarg import (
     DegreeMismatch,
     DiscreteProblem,
     NotDegenerate,
+    PsiSeries,
     SideDataMismatch,
     WrongCount,
     char_poly,
@@ -18,6 +19,7 @@ from frozenarg import (
     discrete_spectrum,
     poly_from_roots,
     psi_poly,
+    psi_to_poly,
     recover_wm,
     solve_degenerate,
     solve_nondegenerate,
@@ -203,6 +205,45 @@ def test_symmetric_free_problem():
         wm, s = solve_symmetric(mu_odd, m)
         assert abs(wm) <= 1e-12
         assert np.abs(s).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [128, 256, 512])
+def test_symmetric_free_problem_large_m(m):
+    # odd free eigenvalues 2 cos((2j-1) pi / 2m): every coordinate vanishes
+    mu_odd = 2 * np.cos(np.pi * np.arange(1, 2 * m, 2) / (2 * m))
+    wm, s = solve_symmetric(mu_odd, m)
+    assert max(abs(wm), np.abs(s).max()) <= 1e-12
+
+
+def test_symmetric_coordinates_match_monomial_route():
+    # prod (mu - r) = psi_{m+1} - psi_{m-1} + w_m psi_m + sum_j s_j psi_j
+    rng = np.random.default_rng(5)
+    roots = rng.uniform(-1.9, 1.9, 9)
+    wm, s = solve_symmetric(roots, 9)
+    coords = np.concatenate([s, [wm, 1.0]])
+    coords[7] -= 1.0  # psi_{m-1}
+    got = psi_to_poly(PsiSeries(coords))
+    ref = poly_from_roots(roots)
+    assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-10 * np.max(np.abs(ref.coeffs))
+
+
+def dense_mu(w, m):
+    """Eigenvalues of the explicit matrix T - w e_m^T by dense numpy.linalg.eigvals."""
+    l = len(w)
+    a = (np.eye(l, k=1) + np.eye(l, k=-1)).astype(complex)
+    a[:, m - 1] -= w
+    return np.linalg.eigvals(a)
+
+
+@pytest.mark.parametrize("m", [128, 256])
+def test_symmetric_random_complex_w_against_dense_oracle(m):
+    rng = np.random.default_rng(28 + m)
+    l = 2 * m - 1
+    w = rand_w(rng, l)
+    mu_odd = strip_degenerate(dense_mu(w, m), l, m)
+    wm, s = solve_symmetric(mu_odd, m)
+    assert abs(wm - w[m - 1]) <= 1e-9
+    assert np.max(np.abs(s - (w[: m - 1] + w[::-1][: m - 1]))) <= 1e-9
 
 
 def test_symmetric_surrogates_give_benchmark_row():
