@@ -1,9 +1,12 @@
 """Eigenvalues of the continuous problem with the frozen point at pi/2.
 
-Shows the reduced characteristic function R, its closed forms against the
-quadrature route, and the eigenvalue search (one sign-change scan of R, then
-joint bisection of every bracket) for the benchmark potentials.  Run as: python demos/02_continuous_spectrum.py
+Shows the reduced characteristic function R (exact for potentials that are
+cubic between their knots), the eigenvalue search (one sign-change scan of R,
+then Illinois steps in every bracket) with R at the roots it returns, for the
+benchmark potentials.  Run as: python demos/02_continuous_spectrum.py
 """
+
+import math
 
 from frozenarg import (
     constant_potential,
@@ -20,22 +23,21 @@ from frozenarg import (
 spec0 = continuous_spectrum(zero_potential(), 9)
 print("free problem:", [f"{lam:.6f}" for _, lam in spec0.odd])
 
-# closed form vs quadrature for the benchmark potentials
+# R itself, on both sides of |rho| = 2 where the grid sum hands over to the exact sum
 for make in (quadratic_potential, tent_potential, constant_potential):
     pot = make()
-    rho = 3.7
-    closed = r_eval(pot, rho, method="closed")
-    integral = r_eval(pot, rho, method="quadrature")
-    print(f"{pot.kind:9s} R({rho}) closed = {closed.real:+.12f}   "
-          f"quadrature diff = {abs(closed - integral):.2e}")
+    row = "  ".join(f"R({rho}) = {r_eval(pot, rho).real:+.12f}" for rho in (1.5, 3.7))
+    print(f"{pot.kind:9s} {row}")
 
-# eigenvalues: odd indices from bisection on R, even ones are (2k)^2 exactly
-print("\nlambda_n for odd n <= 9:")
+# eigenvalues: odd indices from the zeros of R, even ones are (2k)^2 exactly;
+# R at the returned roots shows how well they were settled
+print("\nlambda_n for odd n <= 9, and max |R| at their square roots:")
 for make in (quadratic_potential, tent_potential, constant_potential):
     pot = make()
     spec = continuous_spectrum(pot, 9)
     row = "  ".join(f"{lam:8.4f}" for _, lam in spec.odd)
-    print(f"{pot.kind:9s} {row}")
+    residual = max(abs(r_eval(pot, math.sqrt(lam))) for _, lam in spec.odd)
+    print(f"{pot.kind:9s} {row}   |R| <= {residual:.1e}")
 
 # the full characteristic function vanishes on both spectrum branches
 pot = quadratic_potential()

@@ -321,6 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(argv=None) -> RunConfig:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--known-w" in argv[:-1]:  # attach the value, which may start with a minus sign
+        i = argv.index("--known-w")
+        argv[i : i + 2] = ["--known-w=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     return RunConfig(
         command=args.command,

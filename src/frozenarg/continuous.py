@@ -7,12 +7,11 @@ With a = pi/2 the characteristic function factorizes,
     p(t) = q(t) + q(pi - t),
 
 so the spectrum splits into the potential-independent eigenvalues (2n)^2 and
-the squares of the zeros of R.  Three benchmark potentials carry closed-form
-R for |rho| >= 0.1, below which the closed forms cancel catastrophically.
-Everything else is integrated on one composite Gauss-Legendre grid whose
-breakpoints include the spline knots folded into [0, pi/2]: p is sampled once
-per grid and R for a whole vector of rho is one matrix-vector product.  The
-grid's panels are doubled until halving them moves R by at most 1e-10.
+the squares of the zeros of R.  Every potential built here is cubic between
+its knots, so one R serves them all: a Gauss-Legendre grid aligned with the
+folded knots samples p once, and R is exact to rounding from the grid sum
+below |rho| = 2 and from a Filon sum over the panels' cubics above.  The
+zeros of R come from a sign-change scan and Illinois steps in the brackets.
 """
 
 from __future__ import annotations
@@ -24,28 +23,34 @@ from typing import Callable
 import numpy as np
 
 from .discrete import _BLOCK
-from .errors import BracketFailure, QuadratureFailure, WrongCount
+from .errors import BracketFailure, NoConvergence, QuadratureFailure, WrongCount
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_SMALL_RHO = 0.1  # below this |rho| the closed forms cancel; also where the root scan starts
-_QUADRATURE_TOL = 1e-10  # largest change of R when every panel is halved
-_MAX_PANELS = 4096
-_SCAN_STEP = 0.25  # rho spacing of the sign-change scan for the zeros of R
-_ROOT_WIDTH = 1e-12  # bracket width at which bisection stops
+_AT_NODES = np.polynomial.legendre.legvander(_GL_NODES, 3)  # P_k(x_i), k = 0..3
+_PROJECT = (np.arange(4) + 0.5)[:, None] * (_AT_NODES * _GL_WEIGHTS[:, None]).T  # samples -> c_k
+# j_k(w) = w^k sum_n (-w^2/2)^n / (n! (2k+2n+1)!!): ten terms reach rounding for |w| < 1
+_BESSEL_SERIES = np.array([[(-0.5) ** n / (math.factorial(n) * math.prod(range(2 * k + 2 * n + 1, 0, -2)))
+                            for k in range(4)] for n in range(10)])
+_GRID_RHO = 2.0  # the grid resolves sin(rho t) up to this |rho|; from there on R is the exact sum
+_CUBIC_TOL = 1e-10  # largest miss of a panel's cubic at its samples, relative to max |p|
+_SCAN_START = 0.1  # rho where the sign-change scan for the zeros of R starts
+_SCAN_STEP = 0.25  # rho spacing of that scan
+_ROOT_STEP = 1e-14  # an Illinois step at most this times rho ends a root
+_MAX_SWEEPS = 100
 
 
 @dataclass
 class BenchmarkPotential:
     """A potential q on [0, pi] together with its folded form p(t) = q(t) + q(pi-t).
 
-    kind is one of "quadratic", "tent", "constant", "zero", "sampled"; the
-    named kinds carry a closed-form R.  Callables accept scalars or arrays.
+    kind is one of "quadratic", "tent", "constant", "zero", "sampled".
+    Callables accept scalars or arrays.  p must be cubic between 0, pi/2 and
+    the folded sample abscissae; R raises QuadratureFailure otherwise.
     """
 
     kind: str
     q: Callable
     p: Callable
-    closed_r: Callable | None = None
     samples: np.ndarray | None = None
 
 
@@ -55,7 +60,6 @@ def quadratic_potential() -> BenchmarkPotential:
         kind="quadratic",
         q=lambda x: np.asarray(x) * (math.pi - np.asarray(x)),
         p=lambda t: 2.0 * np.asarray(t) * (math.pi - np.asarray(t)),
-        closed_r=_r_quadratic,
     )
 
 
@@ -65,7 +69,6 @@ def tent_potential() -> BenchmarkPotential:
         kind="tent",
         q=lambda x: math.pi / 2 - np.abs(math.pi / 2 - np.asarray(x)),
         p=lambda t: 2.0 * np.asarray(t, dtype=float),
-        closed_r=_r_tent,
     )
 
 
@@ -75,7 +78,6 @@ def constant_potential() -> BenchmarkPotential:
         kind="constant",
         q=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         p=lambda t: 2.0 * np.ones_like(np.asarray(t, dtype=float)),
-        closed_r=_r_constant,
     )
 
 
@@ -85,7 +87,6 @@ def zero_potential() -> BenchmarkPotential:
         kind="zero",
         q=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         p=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        closed_r=lambda rho: 2.0 * np.cos(np.asarray(rho) * math.pi / 2),
     )
 
 
@@ -139,114 +140,96 @@ def potential_from_csv(path) -> BenchmarkPotential:
 
 
 # ---------------------------------------------------------------------------
-# closed forms, quadrature
+# R on the knot-aligned grid
 # ---------------------------------------------------------------------------
 
-def _r_quadratic(rho):
-    rho = np.asarray(rho, dtype=complex)
-    c = np.cos(rho * math.pi / 2)
-    return 2.0 * c - math.pi**2 / (2.0 * rho**2) * c + 4.0 / rho**4 * (1.0 - c)
+def _quadrature_grid(pot: BenchmarkPotential):
+    """Composite 8-point Gauss-Legendre grid on [0, pi/2] with p sampled once, and p's cubics.
 
-
-def _r_tent(rho):
-    rho = np.asarray(rho, dtype=complex)
-    c = np.cos(rho * math.pi / 2)
-    s = np.sin(rho * math.pi / 2)
-    return 2.0 * c - math.pi / rho**2 * c + 2.0 / rho**3 * s
-
-
-def _r_constant(rho):
-    rho = np.asarray(rho, dtype=complex)
-    c = np.cos(rho * math.pi / 2)
-    return 2.0 * c + 2.0 / rho**2 * (1.0 - c)
-
-
-def _quadrature_grid(pot: BenchmarkPotential, rho_max: float, refine: int = 1):
-    """Composite 8-point Gauss-Legendre grid on [0, pi/2] with p sampled once.
-
-    The breakpoints are 0, pi/2 and the spline knots folded into [0, pi/2], so
-    every panel sees one cubic piece of p.  An interval of width h gets
-    ceil(h rho_max) * refine panels, so sin(rho t) stays resolved up to
-    rho_max.  Returns the nodes t and the weights times p(t).
+    The breakpoints are 0, pi/2 and the spline knots folded into [0, pi/2],
+    and an interval of width h gets ceil(2 h) panels, so every panel sees one
+    cubic piece of p and sin(rho t) is resolved up to |rho| = 2.  The Legendre
+    projection of a panel's samples, c_k = (2k+1)/2 sum w_i P_k(x_i) p_i, is
+    p's cubic there; QuadratureFailure if it misses a sample by more than
+    1e-10 max|p|.  Returns the nodes t, the weights times p(t), the panel
+    centres and half-widths, and 2 half (c_0, c_1, -c_2, -c_3) per panel.
     """
     edges = [0.0, math.pi / 2]
     if pot.samples is not None:
         x = pot.samples[:, 0]
         edges = np.concatenate([edges, x, math.pi - x])
     edges = np.unique(np.clip(edges, 0.0, math.pi / 2))
-    counts = np.ceil(np.diff(edges) * rho_max).astype(int) * refine
-    bounds = np.concatenate(
-        [np.linspace(a, b, c, endpoint=False) for a, b, c in zip(edges[:-1], edges[1:], counts)]
-        + [[math.pi / 2]]
-    )
-    half = 0.5 * np.diff(bounds)[:, None]
-    t = ((bounds[:-1, None] + half) + half * _GL_NODES).ravel()
-    w = (half * _GL_WEIGHTS).ravel()
-    return t, w * np.asarray(pot.p(t))
+    counts = np.ceil(np.diff(edges) * _GRID_RHO).astype(int)
+    half = np.repeat(0.5 * np.diff(edges) / counts, counts)
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)  # panel index in its interval
+    mid = np.repeat(edges[:-1], counts) + (2 * k + 1) * half
+    t = mid[:, None] + half[:, None] * _GL_NODES
+    samples = np.asarray(pot.p(t.ravel()), dtype=float).reshape(t.shape)
+    coeffs = samples @ _PROJECT.T
+    miss = np.max(np.abs(samples - coeffs @ _AT_NODES.T))
+    if not miss <= _CUBIC_TOL * np.max(np.abs(samples)):  # written so that a NaN sample fails too
+        raise QuadratureFailure(f"p is not cubic between its knots: a panel cubic misses a sample by {miss:.2e}")
+    wp = (half[:, None] * _GL_WEIGHTS * samples).ravel()
+    return t.ravel(), wp, mid, half, 2.0 * half[:, None] * coeffs * [1.0, 1.0, -1.0, -1.0]
 
 
-def _r_on_grid(grid, rho) -> np.ndarray:
-    """R = 2 cos(rho pi/2) + sin(rho t) @ (w p) / rho for a vector of nonzero rho.
+def _spherical_bessel(w) -> np.ndarray:
+    """j_0(w) .. j_3(w) along a new last axis, to rounding at any complex w.
 
-    The sin(rho t) matrix is built in row blocks of at most _BLOCK entries.
+    Below |w| = 1 the power series; from there the upward recurrence
+    j_{k+1} = (2k+1) j_k / w - j_{k-1}, whose absolute error stays within
+    15 ulp there.
     """
-    t, wp = grid
+    j = np.empty(w.shape + (4,), dtype=np.result_type(w, float))
+    small = np.abs(w) < 1.0
+    ws = w[small][:, None]
+    j[small] = (ws * ws) ** np.arange(len(_BESSEL_SERIES)) @ _BESSEL_SERIES * ws ** np.arange(4)
+    wl = w[~small]
+    j0 = np.sin(wl) / wl
+    j1 = (j0 - np.cos(wl)) / wl
+    j2 = 3.0 * j1 / wl - j0
+    j[~small] = np.stack([j0, j1, j2, 5.0 * j2 / wl - j1], axis=-1)
+    return j
+
+
+def _r(grid, rho) -> np.ndarray:
+    """R at a vector of real or complex rho.
+
+    Below |rho| = 2: the grid sum of w p sin(rho t)/rho, the kernel written
+    t sinc(rho t/pi) so that rho = 0 gives 2 + sum w p t.  From |rho| = 2 on,
+    a Filon-type rule, exact for cubic p at O(panels) per rho: on a panel with
+    centre m and half-width h, p = sum_k c_k P_k((t - m)/h), and the integral
+    of P_k(x) e^{iwx} over [-1, 1] is 2 i^k j_k(w), so int p sin(rho t) dt =
+    2h [sin(rho m)(c_0 j_0 - c_2 j_2) + cos(rho m)(c_1 j_1 - c_3 j_3)](rho h).
+    Kernels are built in row blocks of at most _BLOCK entries per array.
+    """
+    t, wp, mid, half, coeffs = grid
     rho = np.asarray(rho)
-    integral = np.empty(rho.shape, dtype=np.result_type(rho, wp))
-    rows = max(1, _BLOCK // t.size)
-    for lo in range(0, rho.size, rows):
-        r = rho[lo : lo + rows]
-        integral[lo : lo + rows] = np.sin(np.outer(r, t)) @ wp / r
-    return 2.0 * np.cos(rho * math.pi / 2) + integral
+    r = 2.0 * np.cos(rho * math.pi / 2)
+    small = np.abs(rho) < _GRID_RHO
+    r[small] += np.sinc(np.outer(rho[small], t / math.pi)) @ (wp * t)
+    big = np.flatnonzero(~small)
+    rows = max(1, _BLOCK // (4 * half.size))
+    for lo in range(0, big.size, rows):
+        i = big[lo : lo + rows]
+        j = _spherical_bessel(np.outer(rho[i], half)) * coeffs
+        arg = np.outer(rho[i], mid)
+        integral = np.sum(np.sin(arg) * (j[..., 0] + j[..., 2]) + np.cos(arg) * (j[..., 1] + j[..., 3]), axis=1)
+        r[i] += integral / rho[i]
+    return r
 
 
-def _resolved_r(pot: BenchmarkPotential, rho_max: float, points):
-    """The points points(grid) picks on the knot-aligned grid, and R there.
-
-    points picks the rho where R must be accurate: the roots, or the one
-    requested rho.  The grid is accepted when halving every panel moves R at
-    those points by at most _QUADRATURE_TOL; until then its panels are
-    doubled, up to _MAX_PANELS.
-    """
-    refine = 1
-    grid = _quadrature_grid(pot, rho_max, refine)
-    change = math.inf
-    while grid[0].size <= _MAX_PANELS * len(_GL_NODES):
-        rho = points(grid)
-        r = _r_on_grid(grid, rho)
-        refine *= 2
-        finer = _quadrature_grid(pot, rho_max, refine)
-        change = float(np.max(np.abs(_r_on_grid(finer, rho) - r)))
-        if change <= _QUADRATURE_TOL:
-            return rho, r
-        grid = finer
-    raise QuadratureFailure(
-        f"R up to rho = {rho_max:g} needs more than {_MAX_PANELS} panels (last change {change:.2e})"
-    )
-
-
-def r_eval(pot: BenchmarkPotential, rho, method: str = "auto") -> complex:
+def r_eval(pot: BenchmarkPotential, rho) -> complex:
     """R(rho), the reduced characteristic function whose zeros give the odd eigenvalues.
 
-    method: "auto" prefers the closed form when the potential has one,
-    "closed" forces it (WrongCount if there is none), "quadrature" forces the
-    integral route.  Below |rho| = 0.1, where the closed forms lose up to
-    eight digits to cancellation, every method takes the knot-aligned grid:
-    sin(rho t)/rho does not cancel.  At the removable point rho = 0 that is
-    R(0) = 2 + int p(t) t dt on the rho_max = 1 grid, exact for cubic pieces.
+    p is sampled once, on the knot-aligned grid.  Below |rho| = 2, R is the
+    Gauss-Legendre sum of p(t) sin(rho t)/rho, which does not cancel; at
+    rho = 0 it is R(0) = 2 + int p(t) t dt.  From |rho| = 2 on, R is the
+    exact sum over p's cubic pieces, at any complex rho.  Both are exact to
+    rounding when p is cubic between its knots, as every potential built here
+    is; any other p raises QuadratureFailure.
     """
-    rho = complex(rho)
-    if method not in ("auto", "closed", "quadrature"):
-        raise WrongCount(f"unknown method {method!r}")
-    if method == "closed" and pot.closed_r is None:
-        raise WrongCount(f"potential kind {pot.kind!r} has no closed form")
-    if rho == 0:
-        t, wp = _quadrature_grid(pot, 1.0)
-        return complex(2.0 + wp @ t)
-    if abs(rho) >= _SMALL_RHO and method != "quadrature" and pot.closed_r is not None:
-        return complex(pot.closed_r(rho))
-    _, r = _resolved_r(pot, max(1.0, abs(rho)), lambda grid: np.array([rho]))
-    return complex(r[0])
+    return complex(_r(_quadrature_grid(pot), np.array([complex(rho)]))[0])
 
 
 def delta_eval(pot: BenchmarkPotential, lam) -> complex:
@@ -255,14 +238,8 @@ def delta_eval(pot: BenchmarkPotential, lam) -> complex:
     The prefactor and R are even in rho, so the square-root branch does not
     matter; at lambda = 0 the removable limit (pi/2) R(0) is returned.
     """
-    lam = complex(lam)
-    rho = np.sqrt(lam)
-    r = r_eval(pot, rho)
-    if abs(rho) < 1e-12:
-        prefactor = math.pi / 2
-    else:
-        prefactor = np.sin(rho * math.pi / 2) / rho
-    return complex(prefactor * r)
+    rho = np.sqrt(complex(lam))
+    return complex(math.pi / 2 * np.sinc(rho / 2) * r_eval(pot, rho))  # sinc(rho/2) pi/2 = sin(rho pi/2)/rho
 
 
 @dataclass(frozen=True)
@@ -281,44 +258,54 @@ def _odd_roots(r, count: int, end: float) -> np.ndarray:
     """The zeros of the real function r on [0.1, end], which must number exactly count.
 
     r takes a vector of rho.  Sign changes on a scan of step 0.25 bracket the
-    zeros; all brackets are then bisected together to a width of 1e-12.
+    zeros, and Illinois steps (regula falsi that halves the value kept at an
+    end twice in a row) refine all brackets together.  A root settles when its
+    step is at most 1e-14 rho or the secant lands on a bracket end (as it does
+    once r is 0); NoConvergence after 100 sweeps.
     """
-    scan = np.append(np.arange(_SMALL_RHO, end, _SCAN_STEP), end)
-    positive = r(scan) > 0
+    scan = np.append(np.arange(_SCAN_START, end, _SCAN_STEP), end)
+    f = r(scan)
+    positive = f > 0
     cells = np.flatnonzero(positive[:-1] != positive[1:])
     if cells.size != count:
         raise BracketFailure(cells.size, count, end)
-    a, b, positive_a = scan[cells], scan[cells + 1], positive[cells]
-    while np.max(b - a) > _ROOT_WIDTH:
-        mid = 0.5 * (a + b)
-        left = (r(mid) > 0) == positive_a
-        a = np.where(left, mid, a)
-        b = np.where(left, b, mid)
-    return 0.5 * (a + b)
+    a, b, fa, fb = scan[cells], scan[cells + 1], f[cells], f[cells + 1]
+    root = np.full(count, np.nan)
+    moved = np.zeros(count)  # +1 when b moved last, -1 when a did
+    live = np.arange(count)
+    for _ in range(_MAX_SWEEPS):
+        c = b[live] - fb[live] * (b[live] - a[live]) / (fb[live] - fa[live])
+        done = (np.abs(c - root[live]) <= _ROOT_STEP * c) | (c <= a[live]) | (c >= b[live])
+        root[live] = c
+        live, c = live[~done], c[~done]
+        if live.size == 0:
+            return root
+        fc = r(c)
+        right = (fc > 0) == (fb[live] > 0)  # c replaces b
+        i, k = live[right], live[~right]
+        fa[i[moved[i] > 0]] *= 0.5  # the same end moved twice: halve the other's value
+        fb[k[moved[k] < 0]] *= 0.5
+        b[i], fb[i], moved[i] = c[right], fc[right], 1.0
+        a[k], fa[k], moved[k] = c[~right], fc[~right], -1.0
+    raise NoConvergence(f"{live.size} zeros of R unsettled after {_MAX_SWEEPS} Illinois sweeps")
 
 
 def continuous_spectrum(pot: BenchmarkPotential, n_max: int) -> ContinuousSpectrum:
     """Eigenvalues lambda_n for n <= n_max (real-valued potentials).
 
-    Odd n: the zeros rho_1 < rho_3 < ... of R on [0.1, 2k], k = (n_max+1)//2
-    odd indices, from one sign-change scan of step 0.25 and a joint bisection
-    to an interval of 1e-12.  BracketFailure is raised unless the scan finds
-    exactly k sign changes.  Without a closed form, R comes from the
-    knot-aligned quadrature grid, refined until halving its panels moves R at
-    the roots by at most 1e-10 (QuadratureFailure past 4096 panels).
+    Odd n: the zeros rho_1 < rho_3 < ... of R on [0.1, 2k], k = (n_max+1)//2,
+    from one sign-change scan of step 0.25 and Illinois steps in every bracket
+    down to a step of 1e-14 rho; BracketFailure unless the scan finds exactly
+    k sign changes.  R is that of r_eval, from one grid that samples p once,
+    at O(panels) per rho, so n_max = 10001 takes well under a second.
     Even n: (2k)^2.
     """
     if n_max < 1:
         raise WrongCount("n_max must be >= 1")
     count = (n_max + 1) // 2
     end = 2.0 * count  # the next zero, of index 2k + 1, lies near rho = 2k + 1
-    if pot.closed_r is not None:
-        rho = _odd_roots(lambda x: pot.closed_r(x).real, count, end)
-    else:
-        def roots(grid):
-            return _odd_roots(lambda x: _r_on_grid(grid, x).real, count, end)
-
-        rho, _ = _resolved_r(pot, end, roots)
+    grid = _quadrature_grid(pot)
+    rho = _odd_roots(lambda x: _r(grid, x), count, end)
     odd = [(n, float(root * root)) for n, root in zip(range(1, n_max + 1, 2), rho)]
     even = [(n, float(n * n)) for n in range(2, n_max + 1, 2)]
     return ContinuousSpectrum(odd=tuple(odd), even=tuple(even))

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chebypoly import Poly, PsiSeries, _aberth_correction, _dst1, psi_to_poly, psi_zeros
-from .errors import BadIndex, NoConvergence, WrongCount
+from .errors import BadIndex, FrozenArgError, NoConvergence, WrongCount
 
 _EPS = np.finfo(float).eps
 _BLOCK = 1 << 15
@@ -147,7 +147,11 @@ def pq_polynomials(p: DiscreteProblem) -> BoundaryPolys:
 
 
 def d_eval(p: DiscreteProblem, mu):
-    """Characteristic function D(mu) by running the recurrence (O(l) per point)."""
+    """Characteristic function D(mu) by running the recurrence (O(l) per point).
+
+    |D| grows like r^l, r = max |mu/2 +- sqrt(mu^2/4 - 1)| (1 on [-2, 2]); past l ln r = 709
+    (l >= 738 at mu = 3) D leaves double range and a finite mu raises FrozenArgError.
+    """
     l, m, w = p.l, p.m, p.w
     z = np.atleast_1d(np.asarray(mu, dtype=complex))
     one, zero = np.ones_like(z), np.zeros_like(z)
@@ -159,9 +163,12 @@ def d_eval(p: DiscreteProblem, mu):
 
     # equations j = m..l reach index l+1 from (y_{m-1}, y_m); j = m-1..1 reach 0 from (y_m, y_{m-1})
     up, down = range(m, l + 1), range(m - 1, 0, -1)
-    p0, pl1 = run(zero, one, down, 0.0), run(one, zero, up, 0.0)
-    q0, ql1 = run(one, zero, down, 1.0), run(zero, one, up, 1.0)
-    d = p0 * ql1 - pl1 * q0
+    with np.errstate(over="ignore", invalid="ignore"):
+        p0, pl1 = run(zero, one, down, 0.0), run(one, zero, up, 0.0)
+        q0, ql1 = run(one, zero, down, 1.0), run(zero, one, up, 1.0)
+        d = p0 * ql1 - pl1 * q0
+    if not np.isfinite(d[np.isfinite(z)]).all():
+        raise FrozenArgError(f"D(mu) overflows double range at l = {l} (|D| grows like r^l, r > 1 off [-2, 2])")
     return d if np.ndim(mu) else complex(d[0])
 
 

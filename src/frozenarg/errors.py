@@ -49,7 +49,7 @@ class SideDataMismatch(FrozenArgError):
 
 
 class QuadratureFailure(FrozenArgError):
-    """Halving the quadrature panels still moves R by more than 1e-10 at the panel cap."""
+    """p is not cubic between its knots, so R cannot be integrated exactly (its panel cubics miss p)."""
 
 
 class BracketFailure(FrozenArgError):

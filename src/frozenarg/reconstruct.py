@@ -202,7 +202,7 @@ def convergence_study(pot: BenchmarkPotential, ms, ns) -> ConvergenceStudy:
     """Measure correction-error decay across grid refinements.
 
     For each m, the full discrete spectrum of the sampled potential and the
-    continuous eigenvalues (bisection on R) are computed once; errors
+    continuous eigenvalues (the zeros of R) are computed once; errors
     e_{n,m} = |lambda_{n,l} - lambda~_{n,l}| are tabulated for the requested
     odd n, for the half-ratio trapezoid sums, and for the worst odd n >= m.
     """

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from frozenarg import DiscreteProblem, discrete_spectrum, free_lambdas, strip_degenerate
 from frozenarg.cli import RunConfig, config_from_args, main, run
@@ -65,6 +66,23 @@ def test_inverse_degenerate_via_files(tmp_path):
         ]
     )
     assert run(config) == 0
+    rows = read_rows(out)
+    got = np.array([float(r["w_re"]) + 1j * float(r["w_im"]) for r in rows])
+    assert np.max(np.abs(got - w)) <= 1e-8
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["split", "joined"])
+def test_inverse_degenerate_negative_known_w(tmp_path, joined):
+    # a first known value with a minus sign must not read as an option
+    w = np.array([-0.39, 0.25, 0.1, -0.2, 0.3], dtype=complex)
+    mu = discrete_spectrum(DiscreteProblem.from_w(w, 3)).mu
+    mu_file = tmp_path / "mu.csv"
+    write_mu(mu_file, strip_degenerate(mu, 5, 3))
+    out = tmp_path / "w.csv"
+    known = ["--known-w=-0.39,0.25"] if joined else ["--known-w", "-0.39,0.25"]
+    argv = ["inverse-degenerate", "--l", "5", "--m", "3", "--mu", str(mu_file), "--side", "left",
+            *known, "--output", str(out)]
+    assert main(argv) == 0
     rows = read_rows(out)
     got = np.array([float(r["w_re"]) + 1j * float(r["w_im"]) for r in rows])
     assert np.max(np.abs(got - w)) <= 1e-8

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from scipy.optimize import brentq
 
 import frozenarg
 from frozenarg import (
+    BenchmarkPotential,
     BracketFailure,
+    NoConvergence,
+    QuadratureFailure,
     WrongCount,
     constant_potential,
     continuous_spectrum,
@@ -26,6 +30,7 @@ from frozenarg import (
     tent_potential,
     zero_potential,
 )
+from frozenarg.continuous import _odd_roots
 
 NAMED = {
     "quadratic": quadratic_potential,
@@ -39,6 +44,29 @@ LAMBDA_N = {
     "tent": [2.2432, 9.1668, 25.0542, 49.0268, 81.0160],
     "constant": [2.3477, 8.4962, 25.2631, 48.8138, 81.1431],
 }
+
+
+def closed_r_quadratic(rho):
+    rho = np.asarray(rho, dtype=complex)
+    c = np.cos(rho * math.pi / 2)
+    return 2.0 * c - math.pi**2 / (2.0 * rho**2) * c + 4.0 / rho**4 * (1.0 - c)
+
+
+def closed_r_tent(rho):
+    rho = np.asarray(rho, dtype=complex)
+    c = np.cos(rho * math.pi / 2)
+    s = np.sin(rho * math.pi / 2)
+    return 2.0 * c - math.pi / rho**2 * c + 2.0 / rho**3 * s
+
+
+def closed_r_constant(rho):
+    rho = np.asarray(rho, dtype=complex)
+    c = np.cos(rho * math.pi / 2)
+    return 2.0 * c + 2.0 / rho**2 * (1.0 - c)
+
+
+# closed-form R, the oracle for |rho| >= 0.5; below that the closed forms cancel
+CLOSED_R = {"quadratic": closed_r_quadratic, "tent": closed_r_tent, "constant": closed_r_constant}
 
 
 KNOTS = np.linspace(0, math.pi, 41)
@@ -119,23 +147,16 @@ def test_closed_form_matches_quadrature():
     for name, make in NAMED.items():
         pot = make()
         for rho in rng.uniform(0.5, 20.0, 20):
-            closed = r_eval(pot, rho, method="closed")
-            integral = r_eval(pot, rho, method="quadrature")
-            assert abs(closed - integral) <= 1e-8, (name, rho)
+            assert abs(CLOSED_R[name](rho) - r_eval(pot, rho)) <= 1e-8, (name, rho)
 
 
 def test_small_rho_series_agrees_with_closed_form():
-    # across the |rho| = 0.1 switch from the knot-aligned grid to the closed
-    # form the two routes must join smoothly; the reference is the quadrature
-    # route, immune to the closed-form cancellation
+    # across the |rho| = 2 switch from the grid sum to the exact piecewise
+    # sum the two routes must join smoothly; the closed forms are the oracle
     for name, make in NAMED.items():
         pot = make()
-        lo = r_eval(pot, 0.09)
-        hi = r_eval(pot, 0.11)
-        ref_lo = r_eval(pot, 0.09, method="quadrature")
-        ref_hi = r_eval(pot, 0.11, method="quadrature")
-        assert abs(lo - ref_lo) < 1e-9, name
-        assert abs(hi - ref_hi) < 1e-9, name
+        for rho in (2.0 - 1e-3, 2.0 + 1e-3):
+            assert abs(r_eval(pot, rho) - CLOSED_R[name](rho)) < 1e-9, (name, rho)
 
 
 def test_r_at_zero_matches_moment_oracle():
@@ -148,18 +169,17 @@ def test_r_at_zero_matches_moment_oracle():
 
 @pytest.mark.parametrize("qk", [1.0 + np.cos(2.0 * KNOTS), 60.0 * np.sin(KNOTS)], ids=["1+cos2x", "60sinx"])
 def test_small_rho_series_matches_knot_aligned_oracle(qk):
-    # the knot-aligned grid integrates the spline piece by piece, so R below
-    # |rho| = 0.1 is as accurate as the quadrature route above it
+    # the knot-aligned grid integrates the spline piece by piece, so R near
+    # rho = 0 is exact to rounding
     pot = sampled_potential(KNOTS, qk)
     for rho in (0.0, 0.05):
         assert abs(r_eval(pot, rho) - spline_r_oracle(qk, rho)) <= 1e-12, rho
 
 
-@pytest.mark.parametrize("method", ["auto", "closed"])
 @pytest.mark.parametrize("rho", [0.05 + 0.03j, 1e-6j, 1e-9])
-def test_small_rho_matches_quad(rho, method):
-    # below |rho| = 0.1 every method takes the grid, where sin(rho t)/rho
-    # does not cancel; scipy.quad on the real and imaginary parts is the oracle
+def test_small_rho_matches_quad(rho):
+    # below |rho| = 2 R is the grid sum, where sin(rho t)/rho does not
+    # cancel; scipy.quad on the real and imaginary parts is the oracle
     for name, make in NAMED.items():
         pot = make()
 
@@ -169,22 +189,13 @@ def test_small_rho_matches_quad(rho, method):
         re = quad(lambda t: kernel(t).real, 0, math.pi / 2, epsabs=1e-15)[0]
         im = quad(lambda t: kernel(t).imag, 0, math.pi / 2, epsabs=1e-15)[0]
         want = 2.0 * np.cos(rho * math.pi / 2) + re + 1j * im
-        assert abs(r_eval(pot, rho, method=method) - want) <= 1e-13, name
-
-
-def test_closed_method_without_closed_form_raises():
-    pot = sampled_potential(KNOTS, 1.0 + np.cos(2.0 * KNOTS))
-    for rho in (0.0, 0.05, 2.0):
-        with pytest.raises(WrongCount):
-            r_eval(pot, rho, method="closed")
+        assert abs(r_eval(pot, rho) - want) <= 1e-13, name
 
 
 def test_r_complex_argument():
     pot = quadratic_potential()
-    z = 1.3 + 0.4j
-    closed = r_eval(pot, z, method="closed")
-    integral = r_eval(pot, z, method="quadrature")
-    assert abs(closed - integral) <= 1e-8
+    for z in (1.3 + 0.4j, 7.3 + 0.4j):
+        assert abs(r_eval(pot, z) - CLOSED_R["quadratic"](z)) <= 1e-8, z
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +293,73 @@ def test_negative_first_eigenvalue_is_a_count_mismatch():
     assert (info.value.found, info.value.needed) == (4, 5)
 
 
+def closed_form_lambda(n):
+    """lambda_n of the quadratic potential: brentq on the closed-form R near rho = n."""
+    root = brentq(lambda x: float(CLOSED_R["quadratic"](x).real), n - 0.5, n + 0.95, xtol=1e-15, rtol=1e-15)
+    return root * root
+
+
+def test_quadratic_spectrum_at_n_max_10001():
+    # the old absolute 1e-12 bisection width never ended once rho passed 4096
+    start = time.perf_counter()
+    spec = continuous_spectrum(quadratic_potential(), 10001)
+    assert time.perf_counter() - start < 10.0
+    assert len(spec.odd) == 5001
+    got = dict(spec.odd)
+    for n in (1, 3, 41, 999, 4097, 8193, 9999, 10001):
+        assert abs(got[n] / closed_form_lambda(n) - 1) <= 1e-12, n
+
+
+def test_spline_spectrum_at_n_max_1999_matches_closed_form():
+    # the not-a-knot spline through x(pi-x) is the quadratic itself
+    pot = sampled_potential(KNOTS, KNOTS * (math.pi - KNOTS))
+    got = dict(continuous_spectrum(pot, 1999).odd)
+    assert len(got) == 1000
+    for n in (1, 3, 5, 99, 555, 1001, 1997, 1999):
+        assert abs(got[n] / closed_form_lambda(n) - 1) <= 1e-10, n
+
+
+@pytest.mark.parametrize("qk", [1.0 + np.cos(2.0 * KNOTS), 60.0 * np.sin(KNOTS)], ids=["1+cos2x", "60sinx"])
+def test_exact_r_matches_knot_aligned_oracle(qk):
+    # from |rho| = 2 on R is the Filon sum over the spline's cubic pieces
+    pot = sampled_potential(KNOTS, qk)
+    for rho in (2.0, 3.3, 17.9, 151.2):
+        assert abs(r_eval(pot, rho) - spline_r_oracle(qk, rho)) <= 1e-12, rho
+
+
+def test_exact_r_on_a_rough_spline():
+    # 200 random knots through noisy data: the third derivative of p reaches
+    # about 1e10, so an integration by parts over the knots would cancel its
+    # digits away; the Legendre-moment form keeps them.  Oracle: QUADPACK on
+    # each piece.
+    rng = np.random.default_rng(8)
+    x = np.sort(np.concatenate([[0.0, math.pi], rng.uniform(0, math.pi, 200)]))
+    qk = 1.0 + np.cos(2.0 * x) + 0.3 * rng.standard_normal(x.size)
+    spline = CubicSpline(x, qk)
+    pot = sampled_potential(x, qk)
+    edges = np.unique(np.clip(np.concatenate([[0.0, math.pi / 2], x, math.pi - x]), 0, math.pi / 2))
+
+    def p(t):
+        return float(spline(t) + spline(math.pi - t))
+
+    for rho in (2.0, 7.7, 40.1):
+        pieces = zip(edges[:-1], edges[1:])
+        integral = sum(quad(p, a, b, weight="sin", wvar=rho, epsabs=1e-15)[0] for a, b in pieces)
+        assert abs(r_eval(pot, rho) - (2.0 * math.cos(rho * math.pi / 2) + integral / rho)) <= 1e-12, rho
+
+
+def test_root_iteration_cap_raises():
+    # R turning NaN inside the brackets can never settle; the sweep cap ends the loop
+    calls = []
+
+    def r(x):
+        calls.append(x)
+        return np.cos(x * math.pi / 2) if len(calls) == 1 else np.full_like(x, np.nan)
+
+    with pytest.raises(NoConvergence):
+        _odd_roots(r, 3, 6.0)
+
+
 def test_spline_spectrum_samples_p_at_most_four_times():
     pot = sampled_potential(KNOTS, KNOTS * (math.pi - KNOTS))
     p, calls = pot.p, []
@@ -300,17 +378,14 @@ def test_spline_spectrum_samples_p_at_most_four_times():
 # ---------------------------------------------------------------------------
 
 def test_quadrature_failure_on_unresolvable_integrand():
-    from frozenarg import BenchmarkPotential, QuadratureFailure
-
-    # a dense square wave: each panel refinement keeps shifting the estimate
-    # by O(h), so the 1e-10 halving criterion can never be met
+    # a dense square wave is not cubic on any panel of the grid, so R cannot be exact
     pot = BenchmarkPotential(
         kind="sampled",
         q=lambda x: np.sign(np.sin(997.0 * np.asarray(x))),
         p=lambda t: np.sign(np.sin(997.0 * np.asarray(t))),
     )
     with pytest.raises(QuadratureFailure):
-        r_eval(pot, 2.0, method="quadrature")
+        r_eval(pot, 2.0)
 
 
 def test_named_potential_dispatch():

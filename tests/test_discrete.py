@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from frozenarg import (
     BadIndex,
     DiscreteProblem,
+    FrozenArgError,
     NoConvergence,
     WrongCount,
     char_poly,
@@ -158,6 +159,16 @@ def test_d_eval_vanishes_at_eigenvalues():
         spec = discrete_spectrum(p)
         for mu in spec.mu:
             assert abs(d_eval(p, mu)) <= 1e-9 * (1 + abs(mu)) ** l
+
+
+def test_d_eval_overflow_raises_at_large_l():
+    # |D| grows like r^l off [-2, 2]; at l = 1024 it passes double range at mu = 3
+    p = DiscreteProblem.from_w(np.zeros(1024), 341)
+    for mu in (3.0, 2.5 + 1j, [0.5, 3.0]):
+        with pytest.raises(FrozenArgError, match="overflow"):
+            d_eval(p, mu)
+    theta = math.acos(0.25)  # inside [-2, 2] D = psi_1025(mu) = sin(1025 theta)/sin(theta) stays finite
+    assert abs(d_eval(p, 0.5) - math.sin(1025 * theta) / math.sin(theta)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
