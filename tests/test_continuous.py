@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -176,19 +177,38 @@ def test_small_rho_series_matches_knot_aligned_oracle(qk):
         assert abs(r_eval(pot, rho) - spline_r_oracle(qk, rho)) <= 1e-12, rho
 
 
+def closed_r_mp(name, rho):
+    """The closed-form R in 60-digit arithmetic, where its cancellation is harmless."""
+    with mpmath.workdps(60):
+        r = mpmath.mpmathify(rho)
+        c = mpmath.cos(r * mpmath.pi / 2)
+        s = mpmath.sin(r * mpmath.pi / 2)
+        forms = {
+            "quadratic": 2 * c - mpmath.pi**2 / (2 * r**2) * c + 4 / r**4 * (1 - c),
+            "tent": 2 * c - mpmath.pi / r**2 * c + 2 / r**3 * s,
+            "constant": 2 * c + 2 / r**2 * (1 - c),
+        }
+        return complex(forms[name])
+
+
+@pytest.mark.parametrize("oracle", ["auto", "closed"])
 @pytest.mark.parametrize("rho", [0.05 + 0.03j, 1e-6j, 1e-9])
-def test_small_rho_matches_quad(rho):
+def test_small_rho_matches_quad(rho, oracle):
     # below |rho| = 2 R is the grid sum, where sin(rho t)/rho does not
-    # cancel; scipy.quad on the real and imaginary parts is the oracle
+    # cancel; the oracle is scipy.quad on the real and imaginary parts
+    # ("auto") or the closed form in 60-digit mpmath ("closed")
     for name, make in NAMED.items():
         pot = make()
+        if oracle == "closed":
+            want = closed_r_mp(name, rho)
+        else:
 
-        def kernel(t):
-            return pot.p(t) * np.sin(rho * t) / rho
+            def kernel(t):
+                return pot.p(t) * np.sin(rho * t) / rho
 
-        re = quad(lambda t: kernel(t).real, 0, math.pi / 2, epsabs=1e-15)[0]
-        im = quad(lambda t: kernel(t).imag, 0, math.pi / 2, epsabs=1e-15)[0]
-        want = 2.0 * np.cos(rho * math.pi / 2) + re + 1j * im
+            re = quad(lambda t: kernel(t).real, 0, math.pi / 2, epsabs=1e-15)[0]
+            im = quad(lambda t: kernel(t).imag, 0, math.pi / 2, epsabs=1e-15)[0]
+            want = 2.0 * np.cos(rho * math.pi / 2) + re + 1j * im
         assert abs(r_eval(pot, rho) - want) <= 1e-13, name
 
 
