@@ -2,8 +2,9 @@
 
 Shows the reduced characteristic function R (exact for potentials that are
 cubic between their knots), the eigenvalue search (one sign-change scan of R,
-then Illinois steps in every bracket) with R at the roots it returns, for the
-benchmark potentials.  Run as: python demos/02_continuous_spectrum.py
+then Newton steps in every bracket, with R' from R at a complex point) with R
+at the roots it returns, for the benchmark potentials.  Run as:
+python demos/02_continuous_spectrum.py
 """
 
 import math

@@ -19,6 +19,7 @@ configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -261,6 +262,7 @@ def run(config: RunConfig) -> int:
         if config.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {config.format!r}")
         rows, diagnostics, text = _RUNNERS[config.command](config)
+        _require_finite(rows)
         rendered = (
             _render_json(config, rows, diagnostics)
             if config.format == "json"
@@ -283,6 +285,14 @@ def run(config: RunConfig) -> int:
     except OSError as exc:
         print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
         return 1
+
+
+def _require_finite(rows):
+    """FrozenArgError naming the first row and column whose number is inf or NaN."""
+    for i, row in enumerate(rows, start=1):
+        for key, value in row.items():
+            if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+                raise FrozenArgError(f"row {i} has a non-finite {key} ({value}); nothing was written")
 
 
 def _parse_complex_list(text: str) -> list:

@@ -11,7 +11,8 @@ the squares of the zeros of R.  Every potential built here is cubic between
 its knots, so one R serves them all: a Gauss-Legendre grid aligned with the
 folded knots samples p once, and R is exact to rounding from the grid sum
 below |rho| = 2 and from a Filon sum over the panels' cubics above.  The
-zeros of R come from a sign-change scan and Illinois steps in the brackets.
+zeros of R come from a sign-change scan and safeguarded Newton steps in the
+brackets, with R' from R at rho + 1e-30 i (the complex step).
 """
 
 from __future__ import annotations
@@ -31,11 +32,13 @@ _PROJECT = (np.arange(4) + 0.5)[:, None] * (_AT_NODES * _GL_WEIGHTS[:, None]).T 
 # j_k(w) = w^k sum_n (-w^2/2)^n / (n! (2k+2n+1)!!): ten terms reach rounding for |w| < 1
 _BESSEL_SERIES = np.array([[(-0.5) ** n / (math.factorial(n) * math.prod(range(2 * k + 2 * n + 1, 0, -2)))
                             for k in range(4)] for n in range(10)])
+_SERIES_POWERS, _ORDERS = np.arange(10), np.arange(4)
 _GRID_RHO = 2.0  # the grid resolves sin(rho t) up to this |rho|; from there on R is the exact sum
 _CUBIC_TOL = 1e-10  # largest miss of a panel's cubic at its samples, relative to max |p|
 _SCAN_START = 0.1  # rho where the sign-change scan for the zeros of R starts
 _SCAN_STEP = 0.25  # rho spacing of that scan
-_ROOT_STEP = 1e-14  # an Illinois step at most this times rho ends a root
+_ROOT_STEP = 1e-14  # a Newton step at most this times rho ends a root
+_COMPLEX_STEP = 1e-30  # imaginary part of the point where R and R' are evaluated together
 _MAX_SWEEPS = 100
 
 
@@ -151,8 +154,9 @@ def _quadrature_grid(pot: BenchmarkPotential):
     cubic piece of p and sin(rho t) is resolved up to |rho| = 2.  The Legendre
     projection of a panel's samples, c_k = (2k+1)/2 sum w_i P_k(x_i) p_i, is
     p's cubic there; QuadratureFailure if it misses a sample by more than
-    1e-10 max|p|.  Returns the nodes t, the weights times p(t), the panel
-    centres and half-widths, and 2 half (c_0, c_1, -c_2, -c_3) per panel.
+    1e-10 max|p|.  Returns t/pi and w p(t) t at the nodes, the panel centres,
+    the distinct half-widths with each panel's index into them, and
+    2 half (c_0, c_1, -c_2, -c_3) per panel.
     """
     edges = [0.0, math.pi / 2]
     if pot.samples is not None:
@@ -169,8 +173,10 @@ def _quadrature_grid(pot: BenchmarkPotential):
     miss = np.max(np.abs(samples - coeffs @ _AT_NODES.T))
     if not miss <= _CUBIC_TOL * np.max(np.abs(samples)):  # written so that a NaN sample fails too
         raise QuadratureFailure(f"p is not cubic between its knots: a panel cubic misses a sample by {miss:.2e}")
+    t = t.ravel()
     wp = (half[:, None] * _GL_WEIGHTS * samples).ravel()
-    return t.ravel(), wp, mid, half, 2.0 * half[:, None] * coeffs * [1.0, 1.0, -1.0, -1.0]
+    widths, which = np.unique(half, return_inverse=True)
+    return t / math.pi, wp * t, mid, widths, which, 2.0 * half[:, None] * coeffs * [1.0, 1.0, -1.0, -1.0]
 
 
 def _spherical_bessel(w) -> np.ndarray:
@@ -180,42 +186,60 @@ def _spherical_bessel(w) -> np.ndarray:
     j_{k+1} = (2k+1) j_k / w - j_{k-1}, whose absolute error stays within
     15 ulp there.
     """
-    j = np.empty(w.shape + (4,), dtype=np.result_type(w, float))
     small = np.abs(w) < 1.0
-    ws = w[small][:, None]
-    j[small] = (ws * ws) ** np.arange(len(_BESSEL_SERIES)) @ _BESSEL_SERIES * ws ** np.arange(4)
-    wl = w[~small]
-    j0 = np.sin(wl) / wl
-    j1 = (j0 - np.cos(wl)) / wl
-    j2 = 3.0 * j1 / wl - j0
-    j[~small] = np.stack([j0, j1, j2, 5.0 * j2 / wl - j1], axis=-1)
+    if small.all():
+        return _bessel_series(w)
+    if not small.any():
+        return _bessel_upward(w)
+    j = np.empty(w.shape + (4,), dtype=np.result_type(w, float))
+    j[small] = _bessel_series(w[small])
+    j[~small] = _bessel_upward(w[~small])
     return j
+
+
+def _bessel_series(w) -> np.ndarray:
+    w = w[..., None]
+    return (w * w) ** _SERIES_POWERS @ _BESSEL_SERIES * w ** _ORDERS
+
+
+def _bessel_upward(w) -> np.ndarray:
+    j0 = np.sin(w) / w
+    j1 = (j0 - np.cos(w)) / w
+    j2 = 3.0 * j1 / w - j0
+    return np.stack([j0, j1, j2, 5.0 * j2 / w - j1], axis=-1)
 
 
 def _r(grid, rho) -> np.ndarray:
     """R at a vector of real or complex rho.
 
+    2 cos(rho pi/2) is taken as (-1)^k 2 cos((rho/2 - k) pi), k the integer
+    nearest to Re rho/2, which is exact to rounding at any rho.
     Below |rho| = 2: the grid sum of w p sin(rho t)/rho, the kernel written
     t sinc(rho t/pi) so that rho = 0 gives 2 + sum w p t.  From |rho| = 2 on,
     a Filon-type rule, exact for cubic p at O(panels) per rho: on a panel with
     centre m and half-width h, p = sum_k c_k P_k((t - m)/h), and the integral
     of P_k(x) e^{iwx} over [-1, 1] is 2 i^k j_k(w), so int p sin(rho t) dt =
     2h [sin(rho m)(c_0 j_0 - c_2 j_2) + cos(rho m)(c_1 j_1 - c_3 j_3)](rho h).
-    Kernels are built in row blocks of at most _BLOCK entries per array.
+    The j_k are evaluated once per distinct half-width and gathered to the
+    panels.  Kernels are built in row blocks of at most _BLOCK entries per
+    array.
     """
-    t, wp, mid, half, coeffs = grid
+    t_pi, wpt, mid, widths, which, coeffs = grid
     rho = np.asarray(rho)
-    r = 2.0 * np.cos(rho * math.pi / 2)
+    turns = np.rint(rho.real / 2)  # rho/2 - turns is exact
+    r = (2.0 - 4.0 * (turns % 2)) * np.cos((rho / 2 - turns) * math.pi)
     small = np.abs(rho) < _GRID_RHO
-    r[small] += np.sinc(np.outer(rho[small], t / math.pi)) @ (wp * t)
+    if small.any():
+        r[small] += np.sinc(np.outer(rho[small], t_pi)) @ wpt
     big = np.flatnonzero(~small)
-    rows = max(1, _BLOCK // (4 * half.size))
+    rows = max(1, _BLOCK // (4 * mid.size))
     for lo in range(0, big.size, rows):
         i = big[lo : lo + rows]
-        j = _spherical_bessel(np.outer(rho[i], half)) * coeffs
-        arg = np.outer(rho[i], mid)
-        integral = np.sum(np.sin(arg) * (j[..., 0] + j[..., 2]) + np.cos(arg) * (j[..., 1] + j[..., 3]), axis=1)
-        r[i] += integral / rho[i]
+        x = rho[i][:, None]
+        j = _spherical_bessel(x * widths)[:, which] * coeffs
+        arg = x * mid
+        integral = (np.sin(arg) * (j[..., 0] + j[..., 2]) + np.cos(arg) * (j[..., 1] + j[..., 3])).sum(axis=1)
+        r[i] += integral / x[:, 0]
     return r
 
 
@@ -257,11 +281,15 @@ class ContinuousSpectrum:
 def _odd_roots(r, count: int, end: float) -> np.ndarray:
     """The zeros of the real function r on [0.1, end], which must number exactly count.
 
-    r takes a vector of rho.  Sign changes on a scan of step 0.25 bracket the
-    zeros, and Illinois steps (regula falsi that halves the value kept at an
-    end twice in a row) refine all brackets together.  A root settles when its
-    step is at most 1e-14 rho or the secant lands on a bracket end (as it does
-    once r is 0); NoConvergence after 100 sweeps.
+    r takes a vector of real or complex rho and must be analytic, so that
+    r(x + i s) = r(x) + i s r'(x) to rounding for s = 1e-30 (the complex
+    step).  Sign changes on a scan of step 0.25 bracket the zeros; inverse
+    cubic interpolation through the four scan values around each bracket
+    starts Newton's method, and all brackets take their Newton steps
+    together.  Every evaluated sign tightens its bracket, and a Newton point
+    outside the bracket is replaced by the bracket's midpoint.  A root
+    settles when its step, or its bracket, is at most 1e-14 rho;
+    NoConvergence after 100 sweeps.
     """
     scan = np.append(np.arange(_SCAN_START, end, _SCAN_STEP), end)
     f = r(scan)
@@ -269,36 +297,60 @@ def _odd_roots(r, count: int, end: float) -> np.ndarray:
     cells = np.flatnonzero(positive[:-1] != positive[1:])
     if cells.size != count:
         raise BracketFailure(cells.size, count, end)
-    a, b, fa, fb = scan[cells], scan[cells + 1], f[cells], f[cells + 1]
-    root = np.full(count, np.nan)
-    moved = np.zeros(count)  # +1 when b moved last, -1 when a did
+    a, b = scan[cells], scan[cells + 1]
+    sign_a = np.where(positive[cells], 1.0, -1.0)
+    x = _inverse_interpolation(scan, f, cells)
+    x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
+    root = np.empty(count)
     live = np.arange(count)
     for _ in range(_MAX_SWEEPS):
-        c = b[live] - fb[live] * (b[live] - a[live]) / (fb[live] - fa[live])
-        done = (np.abs(c - root[live]) <= _ROOT_STEP * c) | (c <= a[live]) | (c >= b[live])
-        root[live] = c
-        live, c = live[~done], c[~done]
+        z = r(x + 1j * _COMPLEX_STEP)
+        side = z.real * sign_a  # > 0: x replaces a, < 0: x replaces b, NaN: neither
+        a = np.where(side > 0, x, a)
+        b = np.where(side < 0, x, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -_COMPLEX_STEP * z.real / z.imag
+        new = x + step
+        settled = np.abs(step) <= _ROOT_STEP * x
+        x = np.where(settled | ((new > a) & (new < b)), new, 0.5 * (a + b))
+        settled |= b - a <= _ROOT_STEP * x
+        root[live[settled]] = x[settled]
+        keep = ~settled
+        live, x, a, b, sign_a = live[keep], x[keep], a[keep], b[keep], sign_a[keep]
         if live.size == 0:
             return root
-        fc = r(c)
-        right = (fc > 0) == (fb[live] > 0)  # c replaces b
-        i, k = live[right], live[~right]
-        fa[i[moved[i] > 0]] *= 0.5  # the same end moved twice: halve the other's value
-        fb[k[moved[k] < 0]] *= 0.5
-        b[i], fb[i], moved[i] = c[right], fc[right], 1.0
-        a[k], fa[k], moved[k] = c[~right], fc[~right], -1.0
-    raise NoConvergence(f"{live.size} zeros of R unsettled after {_MAX_SWEEPS} Illinois sweeps")
+    raise NoConvergence(f"{live.size} zeros of R unsettled after {_MAX_SWEEPS} Newton sweeps")
+
+
+def _inverse_interpolation(scan, f, cells) -> np.ndarray:
+    """Inverse cubic interpolation: per cell, the rho where r would be 0.
+
+    Near a simple zero, rho is a smooth function of r, so the cubic in r
+    through the four scan points around the cell, evaluated at r = 0, lands
+    close to the zero; NaN or inf where two of those r values coincide.
+    """
+    k = min(4, scan.size)
+    near = np.minimum(np.maximum(cells - 1, 0), scan.size - k)[:, None] + np.arange(k)
+    x, y = scan[near], f[near]
+    diagonal = np.eye(k, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # weight of point j: prod_{i != j} y_i / (y_i - y_j)
+        ratio = np.where(diagonal, 1.0, y[:, None, :] / (y[:, None, :] - y[:, :, None]))
+        return (x * ratio.prod(axis=2)).sum(axis=1)
 
 
 def continuous_spectrum(pot: BenchmarkPotential, n_max: int) -> ContinuousSpectrum:
     """Eigenvalues lambda_n for n <= n_max (real-valued potentials).
 
     Odd n: the zeros rho_1 < rho_3 < ... of R on [0.1, 2k], k = (n_max+1)//2,
-    from one sign-change scan of step 0.25 and Illinois steps in every bracket
-    down to a step of 1e-14 rho; BracketFailure unless the scan finds exactly
-    k sign changes.  R is that of r_eval, from one grid that samples p once,
-    at O(panels) per rho, so n_max = 10001 takes well under a second.
-    Even n: (2k)^2.
+    from one sign-change scan of step 0.25 and Newton steps in every bracket,
+    started by inverse cubic interpolation of the scan and kept inside the
+    bracket, down to a step of 1e-14 rho; BracketFailure unless the scan finds
+    exactly k sign changes.  R is that of r_eval, from one grid that samples
+    p once, at O(panels) per rho, and each Newton sweep gets R and R' from one
+    evaluation at complex rho: five evaluations in all (the scan and four
+    sweeps) on the named potentials and on 41-knot splines of x(pi - x) and
+    1 + cos 2x, so n_max = 10001 takes well under a second.  Even n: (2k)^2.
     """
     if n_max < 1:
         raise WrongCount("n_max must be >= 1")

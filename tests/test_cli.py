@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from frozenarg import DiscreteProblem, discrete_spectrum, free_lambdas, strip_degenerate
+from frozenarg import cli
 from frozenarg.cli import RunConfig, config_from_args, main, run
 
 
@@ -156,6 +157,22 @@ def test_module_error_no_partial_output(tmp_path, capsys):
     assert not out.exists()
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "DegenerateConfiguration"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))], ids=["nan", "inf", "complex-nan"])
+def test_non_finite_cell_exits_1_without_output(tmp_path, capsys, monkeypatch, bad, fmt):
+    def runner(config):
+        return [{"n": 1, "lambda": 1.0}, {"n": 2, "lambda": bad}], {}, None
+
+    monkeypatch.setitem(cli._RUNNERS, "spectrum-continuous", runner)
+    out = tmp_path / "never.csv"
+    config = RunConfig(command="spectrum-continuous", potential="zero", n_max=2, output=str(out), format=fmt)
+    assert run(config) == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "FrozenArgError"
+    assert "row 2" in err["message"] and "lambda" in err["message"]
 
 
 def test_config_error_missing_flag(capsys):

@@ -31,6 +31,7 @@ from frozenarg import (
     tent_potential,
     zero_potential,
 )
+from frozenarg import continuous
 from frozenarg.continuous import _odd_roots
 
 NAMED = {
@@ -123,6 +124,13 @@ def spline_odd_lambdas(family, a, count):
     return qk, np.asarray(roots) ** 2
 
 
+def rough_spline():
+    """200 random knots on [0, pi] through 1 + cos 2x plus noise of size 0.3."""
+    rng = np.random.default_rng(8)
+    x = np.sort(np.concatenate([[0.0, math.pi], rng.uniform(0, math.pi, 200)]))
+    return x, 1.0 + np.cos(2.0 * x) + 0.3 * rng.standard_normal(x.size)
+
+
 # ---------------------------------------------------------------------------
 # r_eval
 # ---------------------------------------------------------------------------
@@ -177,10 +185,10 @@ def test_small_rho_series_matches_knot_aligned_oracle(qk):
         assert abs(r_eval(pot, rho) - spline_r_oracle(qk, rho)) <= 1e-12, rho
 
 
-def closed_r_mp(name, rho):
-    """The closed-form R in 60-digit arithmetic, where its cancellation is harmless."""
-    with mpmath.workdps(60):
-        r = mpmath.mpmathify(rho)
+def closed_r_mp(name, rho, derivative=0):
+    """The closed-form R, or a rho-derivative of it, in 60-digit arithmetic, where its cancellation is harmless."""
+
+    def form(r):
         c = mpmath.cos(r * mpmath.pi / 2)
         s = mpmath.sin(r * mpmath.pi / 2)
         forms = {
@@ -188,7 +196,10 @@ def closed_r_mp(name, rho):
             "tent": 2 * c - mpmath.pi / r**2 * c + 2 / r**3 * s,
             "constant": 2 * c + 2 / r**2 * (1 - c),
         }
-        return complex(forms[name])
+        return forms[name]
+
+    with mpmath.workdps(60):
+        return complex(mpmath.diff(form, mpmath.mpmathify(rho), derivative))
 
 
 @pytest.mark.parametrize("oracle", ["auto", "closed"])
@@ -352,9 +363,7 @@ def test_exact_r_on_a_rough_spline():
     # about 1e10, so an integration by parts over the knots would cancel its
     # digits away; the Legendre-moment form keeps them.  Oracle: QUADPACK on
     # each piece.
-    rng = np.random.default_rng(8)
-    x = np.sort(np.concatenate([[0.0, math.pi], rng.uniform(0, math.pi, 200)]))
-    qk = 1.0 + np.cos(2.0 * x) + 0.3 * rng.standard_normal(x.size)
+    x, qk = rough_spline()
     spline = CubicSpline(x, qk)
     pot = sampled_potential(x, qk)
     edges = np.unique(np.clip(np.concatenate([[0.0, math.pi / 2], x, math.pi - x]), 0, math.pi / 2))
@@ -378,6 +387,57 @@ def test_root_iteration_cap_raises():
 
     with pytest.raises(NoConvergence):
         _odd_roots(r, 3, 6.0)
+
+
+def test_newton_safeguard_on_a_steep_step():
+    # inverse interpolation and Newton both overshoot on a near-step, so the
+    # iteration leans on the midpoints of the shrinking bracket
+    root = _odd_roots(lambda x: np.tanh(40.0 * (x - 1.234)), 1, 3.0)
+    assert abs(root[0] - 1.234) <= 1e-14
+
+
+@pytest.mark.parametrize("rho", [0.3, 1.9, 2.0, 7.3, 151.2])
+@pytest.mark.parametrize("name", list(NAMED))
+def test_complex_step_derivative_matches_closed_form(name, rho):
+    # R(x + i s) = R(x) + i s R'(x) to rounding: R is analytic in rho on
+    # both sides of |rho| = 2, and s = 1e-30 leaves no truncation error
+    got = r_eval(NAMED[name](), complex(rho, 1e-30)).imag / 1e-30
+    assert abs(got - closed_r_mp(name, rho, derivative=1).real) <= 1e-12
+
+
+SPECTRUM_CASES = {
+    "0.85x(pi-x)": lambda: sampled_potential(KNOTS, 0.85 * KNOTS * (math.pi - KNOTS)),
+    "1.25x(pi-x)": lambda: sampled_potential(KNOTS, 1.25 * KNOTS * (math.pi - KNOTS)),
+    "1+cos2x": lambda: sampled_potential(KNOTS, 1.0 + np.cos(2.0 * KNOTS)),
+    **NAMED,
+}
+
+
+@pytest.mark.parametrize("name", list(SPECTRUM_CASES))
+def test_spectrum_takes_at_most_five_r_evaluations(name, monkeypatch):
+    # the scan and at most four Newton sweeps
+    r, calls = continuous._r, []
+
+    def counted(grid, rho):
+        calls.append(rho.size)
+        return r(grid, rho)
+
+    monkeypatch.setattr(continuous, "_r", counted)
+    for n_max in (9, 19, 39, 511, 1999):
+        calls.clear()
+        continuous_spectrum(SPECTRUM_CASES[name](), n_max)
+        assert len(calls) <= 5, (n_max, calls)
+
+
+@pytest.mark.parametrize("knots", ["41", "rough200"])
+def test_bessel_moments_per_width_match_per_panel(knots):
+    # j_k(rho h) is evaluated once per distinct half-width h and gathered to
+    # the panels; with one entry per panel instead, R must not move a bit
+    x, qk = (KNOTS, 1.0 + np.cos(2.0 * KNOTS)) if knots == "41" else rough_spline()
+    t_pi, wpt, mid, widths, which, coeffs = grid = continuous._quadrature_grid(sampled_potential(x, qk))
+    per_panel = (t_pi, wpt, mid, widths[which], np.arange(which.size), coeffs)
+    for rho in (np.arange(0.1, 80.0, 0.25), np.linspace(2.0, 4000.0, 999) + 1e-30j, np.array([7.3 + 0.4j])):
+        assert np.array_equal(continuous._r(grid, rho), continuous._r(per_panel, rho))
 
 
 def test_spline_spectrum_samples_p_at_most_four_times():

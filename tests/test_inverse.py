@@ -207,9 +207,11 @@ def test_symmetric_free_problem():
         assert np.abs(s).max(initial=0.0) <= 1e-12
 
 
-@pytest.mark.parametrize("m", [128, 256, 512])
+@pytest.mark.parametrize("m", [128, 256, 512, 2047, 2048])
 def test_symmetric_free_problem_large_m(m):
-    # odd free eigenvalues 2 cos((2j-1) pi / 2m): every coordinate vanishes
+    # odd free eigenvalues 2 cos((2j-1) pi / 2m): every coordinate vanishes.
+    # From m of about 1280 the partial products of prod (nu - mu) leave
+    # double range; for odd m one factor is 0 - 0.
     mu_odd = 2 * np.cos(np.pi * np.arange(1, 2 * m, 2) / (2 * m))
     wm, s = solve_symmetric(mu_odd, m)
     assert max(abs(wm), np.abs(s).max()) <= 1e-12

@@ -248,3 +248,14 @@ def test_monotone_improvement():
             error_report(res, pot)
             errs[m] = np.abs(res.delta_q).max()
         assert errs[20] < errs[5]
+
+
+@pytest.mark.parametrize("m, bound", [(1024, 2.3e-7), (2048, 1e-6)])
+def test_quadratic_reconstruction_at_large_m(m, bound):
+    # at m = 2048 the partial products of prod (nu - mu) leave double range,
+    # and q~ = z / (2 h^2) magnifies the rounding of lambda_n near n = 4095
+    # so much that lambda must be good to an ulp or two
+    pot = quadratic_potential()
+    res = reconstruct_from_potential(pot, m)
+    x = res.h * np.arange(1, res.l + 1)
+    assert np.max(np.abs(res.q_tilde - pot.q(x))) <= bound
