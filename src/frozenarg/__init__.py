@@ -71,7 +71,6 @@ from .errors import (
 from .inverse import (
     DegenerateData,
     degenerate_mu,
-    recover_wm,
     solve_degenerate,
     solve_nondegenerate,
     solve_symmetric,

@@ -121,13 +121,6 @@ class Poly:
     def one() -> "Poly":
         return Poly([1.0])
 
-    @staticmethod
-    def monomial(k: int, c=1.0) -> "Poly":
-        """c * mu**k."""
-        v = np.zeros(k + 1, dtype=complex)
-        v[k] = c
-        return Poly(v)
-
     # -- basic queries ---------------------------------------------------------
 
     @property
@@ -426,9 +419,11 @@ def _leja_index_order(pts) -> list[int]:
 def poly_roots(p: Poly, max_iterations: int = 500) -> np.ndarray:
     """All complex roots of p with multiplicity.
 
-    Aberth-Ehrlich simultaneous iteration started on a circle of radius
-    1 + max|c_k / c_deg|, then a few Newton polishing steps per root.
-    Residual contract: max |p(z)| / (||p|| (1+|z|)^deg) <= 1e-10 for deg <= 64.
+    Aberth-Ehrlich simultaneous iteration started on Fujiwara's bound
+    2 max_k |c_k / c_deg|^(1/(deg-k)), which every root lies within, then a
+    few Newton polishing steps per root.  A non-finite p(z) on the way raises
+    NoConvergence.  Residual contract: max |p(z)| / (||p|| (1+|z|)^deg) <=
+    1e-10 for deg <= 64.
     """
     deg = p.degree
     if deg < 1:
@@ -438,8 +433,7 @@ def poly_roots(p: Poly, max_iterations: int = 500) -> np.ndarray:
         return np.array([-c[0] / c[1]])
     if deg == 2:
         return _quadratic_roots(c[2], c[1], c[0])
-    cn = c / c[-1]
-    radius = 1.0 + np.abs(cn[:-1]).max()
+    radius = 2.0 * np.max(np.abs(c[:-1] / c[-1]) ** (1.0 / (deg - np.arange(deg))))
     k = np.arange(deg)
     z = radius * np.exp(1j * (2 * np.pi * k / deg + 0.39))
     dcoef = c[1:] * np.arange(1, deg + 1)
@@ -469,7 +463,10 @@ def poly_roots(p: Poly, max_iterations: int = 500) -> np.ndarray:
 
     converged = False
     for _ in range(max_iterations):
-        pv = val(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pv = val(z)
+        if not np.all(np.isfinite(pv)):
+            raise NoConvergence("p(z) is not finite at an Aberth iterate", worst_residual=np.inf)
         dv = dval(z)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)

@@ -52,7 +52,7 @@ class RunConfig:
 
 
 def _load_potential(name: str):
-    if name in ("quadratic", "tent", "constant", "zero"):
+    if name in continuous._NAMED_POTENTIALS:
         return continuous.named_potential(name)
     try:
         return continuous.potential_from_csv(name)

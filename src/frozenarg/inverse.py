@@ -10,8 +10,11 @@ Three regimes:
 * l = 2m-1 (frozen point mid-interval): only w_m and the pair sums
   w_j + w_{l+1-j} are determined (:func:`solve_symmetric`).
 
-All interpolation nodes come from the closed-form zeros 2 cos(pi k / n); no
-numerical root-finding enters the inversion, so results are deterministic.
+The nondegenerate and symmetric solvers read psi coordinates off the values
+of prod (nu - mu_n) at the closed-form zeros 2 cos(pi k / n) of psi_n, through
+one DST-I (:func:`_grid_coordinates`); the degenerate solver still interpolates
+on those zeros in the monomial basis.  No numerical root-finding enters the
+inversion, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .chebypoly import (
 from .discrete import _BLOCK
 from .errors import (
     DegenerateConfiguration,
-    DegreeMismatch,
     NotDegenerate,
     SideDataMismatch,
     WrongCount,
@@ -70,22 +72,6 @@ class DegenerateData:
             )
 
 
-def recover_wm(d_poly: Poly, l: int, m: int) -> complex:
-    """Extract w_m from a monic characteristic polynomial of degree l.
-
-    w_m is the mu^(l-1) coefficient of D - psi_m psi_{l-m+2}; the product's
-    coefficient there vanishes by parity (its integer coefficients occupy only
-    every other slot), so the subtraction is exact even in floating point.
-    """
-    if d_poly.degree != l:
-        raise DegreeMismatch(f"expected degree {l}, got {d_poly.degree}")
-    a = psi_poly(m).coeffs
-    b = psi_poly(l - m + 2).coeffs
-    # single convolution slot l-1 of psi_m * psi_{l-m+2}
-    prod = sum(a[i] * b[l - 1 - i] for i in range(len(a)) if 0 <= l - 1 - i < len(b))
-    return complex(d_poly.coeff(l - 1) - prod)
-
-
 def _prod_eval(mu_roots: np.ndarray, z: complex) -> complex:
     """Evaluate prod (z - mu_n): stable product form of the monic D."""
     return complex(np.prod(z - mu_roots))
@@ -109,13 +95,35 @@ def _read_right(w: np.ndarray, ql1: Poly, l: int, m: int, wm: complex) -> None:
         w[l - j] = series.coeffs[j - 1]  # coordinate j is w_{l+1-j}
 
 
+def _grid_coordinates(mu: np.ndarray, n: int, j: int | None = None) -> np.ndarray:
+    """Psi coordinates c_1..c_{n-1} of prod (nu - mu_i), over psi_j(nu) if j is given, on the zeros of psi_n.
+
+    The values at the zeros nu_k = 2 cos(theta_k), theta_k = pi k/n, fix the
+    polynomial of span(psi_1..psi_{n-1}) that takes them, and its coordinates
+    are (2/n) DST-I(g(nu_k) sin(theta_k)).  psi_j(nu_k) = sin(j theta_k) /
+    sin(theta_k), with j k reduced mod 2n first; it must not vanish, i.e.
+    gcd(j, n) = 1.
+    """
+    k = np.arange(1, n)
+    theta = np.pi * k / n
+    g = _product_at(psi_zeros(n), mu)
+    if j is not None:
+        g = g * (np.sin(theta) / np.sin(np.pi * (j * k % (2 * n)) / n))
+    return (2.0 / n) * _dst1(g * np.sin(theta))
+
+
 def solve_nondegenerate(mu, m: int, l: int | None = None) -> np.ndarray:
     """Recover all w_j from the full spectrum when gcd(m, l+1) = 1.
 
-    Steps: build D from the eigenvalue product, read w_m off its subleading
-    coefficient, evaluate Q_0 at the zeros of psi_m and the reduced Q_{l+1}
-    at the zeros of psi_{l-m+1}, interpolate both, and read the w_j off their
-    psi coordinates.
+    D = prod (mu - mu_n) = P_0 Q_{l+1} - P_{l+1} Q_0 with P_0 = psi_m and
+    P_{l+1} = -psi_{l-m+1}.  w_m = -sum mu_n, the trace of T - w e_m^T.  At
+    the zeros of psi_m, Q_0 = D / psi_{l-m+1}, and Q_0 + psi_{m-1} has psi
+    coordinates w_1..w_{m-1}.  At the zeros of psi_n, n = l-m+1,
+    Q_{l+1} = D / psi_m; there psi_n vanishes (w_m drops out) and
+    psi_{n+1} = -psi_{n-1}, so Q_{l+1} - psi_{n+1} = Q_{l+1} + psi_{n-1} has
+    coordinates w_l, .., w_{m+1}.  Each side is one :func:`_grid_coordinates`.
+    Against dense eigvals with random complex |w| <= 1, the relative error
+    is about 1e-12 at l = 64 and at most about 7e-9 at l = 1024.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=complex))
     if l is None:
@@ -128,29 +136,15 @@ def solve_nondegenerate(mu, m: int, l: int | None = None) -> np.ndarray:
         raise DegenerateConfiguration(
             f"gcd(m, l+1) = {math.gcd(m, l + 1)} > 1: use solve_degenerate"
         )
-    d_poly = poly_from_roots(mu)
-    wm = recover_wm(d_poly, l, m)
-    w = np.zeros(l, dtype=complex)
-    w[m - 1] = wm
-
+    n = l - m + 1
+    w = np.empty(l, dtype=complex)
+    w[m - 1] = -mu.sum()
     if m >= 2:
-        nus = psi_zeros(m)
-        # at zeros of P_0 = psi_m:  Q_0 = -D / P_{l+1} = D / psi_{l-m+1}
-        vals = [_prod_eval(mu, nu) / psi_eval(l - m + 1, nu) for nu in nus]
-        q0 = interpolate(nus, vals)
-        _read_left(w, q0, m)
-
-    if m <= l - 1:
-        thetas = psi_zeros(l - m + 1)
-        # at zeros of P_{l+1} = -psi_{l-m+1}:  Q_{l+1} = D / P_0 = D / psi_m,
-        # with the known leading monomials mu^{l-m+1} + w_m mu^{l-m} removed
-        vals = [
-            _prod_eval(mu, t) / psi_eval(m, t) - t ** (l - m + 1) - wm * t ** (l - m)
-            for t in thetas
-        ]
-        tail = interpolate(thetas, vals)
-        ql1 = tail + Poly.monomial(l - m + 1) + Poly.monomial(l - m, wm)
-        _read_right(w, ql1, l, m, wm)
+        w[: m - 1] = _grid_coordinates(mu, m, n)
+        w[m - 2] += 1.0  # + psi_{m-1}
+    if n >= 2:
+        w[m:] = _grid_coordinates(mu, n, m)[::-1]
+        w[m] += 1.0  # coordinate n-1, w_{m+1}: + psi_{n-1}
     return w
 
 
@@ -184,7 +178,7 @@ def _solve_degenerate_left(mu_reduced: np.ndarray, m: int, l: int, known_w: np.n
     # never contains them, so perturbing them upstream cannot leak in here
     mu_all = np.concatenate([mu_reduced, degenerate_mu(l, m).astype(complex)])
     d_poly = poly_from_roots(mu_all)
-    wm = recover_wm(d_poly, l, m)
+    wm = d_poly.coeff(l - 1)  # -sum mu_all: the trace of T - w e_m^T is -w_m
     w = np.zeros(l, dtype=complex)
     w[m - 1] = wm
     for i, kw in enumerate(known_w):
@@ -252,13 +246,9 @@ def _product_at(nu, mu) -> np.ndarray:
     a factor in [1/2, 1) and a power of two, and the two parts are combined
     separately.  Rows are built in blocks of at most _BLOCK entries.
 
-    A single run cannot overflow and its rescaling gives back the same bits,
-    so up to _RUN factors the plain product is taken: the rescaling's dozen
-    numpy calls add about 30 us, which made solve_symmetric 1.4-1.8 times
-    slower at m <= 64.
+    The rescaling is by powers of two, so up to _RUN factors (one run) the
+    result has the same bits as the plain product.
     """
-    if mu.size <= _RUN:
-        return np.prod(nu[:, None] - mu, axis=1)
     starts = np.arange(0, mu.size, _RUN)
     g = np.empty(nu.size, dtype=complex)
     rows = max(1, _BLOCK // mu.size)
@@ -288,9 +278,7 @@ def solve_symmetric(mu_odd, m: int) -> tuple[complex, np.ndarray]:
     mu_odd = np.atleast_1d(np.asarray(mu_odd, dtype=complex))
     if len(mu_odd) != m:
         raise WrongCount(f"expected {m} eigenvalues, got {len(mu_odd)}")
-    theta = np.pi * np.arange(1, m + 1) / (m + 1)
-    g = _product_at(psi_zeros(m + 1), mu_odd)
-    z = (2.0 / (m + 1)) * _dst1(g * np.sin(theta))  # coordinates c_1..c_m
+    z = _grid_coordinates(mu_odd, m + 1)  # coordinates c_1..c_m
     if m >= 2:
         z[m - 2] += 1.0  # + psi_{m-1}
     wm = complex(z[m - 1])

@@ -297,6 +297,26 @@ def test_poly_roots_residual_contract():
         assert res.max() <= 1e-10, deg
 
 
+def test_poly_roots_real_roots_on_wide_interval():
+    # products of roots in [-3, 3] and Wilkinson's degree 20: the start circle
+    # must not overflow z^deg, since an inf p(z) would sit below an inf noise
+    # floor and count as converged
+    rng = np.random.default_rng(0)
+    cases = [(poly_from_roots(rng.uniform(-3, 3, deg)), 3.0) for deg in (30, 40, 60)]
+    cases.append((poly_from_roots(np.arange(1.0, 21.0)), 20.0))
+    for p, bound in cases:
+        roots = poly_roots(p)
+        res = np.abs(p(roots)) / (np.max(np.abs(p.coeffs)) * (1 + np.abs(roots)) ** p.degree)
+        assert res.max() <= 1e-10, p.degree  # seen <= 1e-22
+        assert np.abs(roots).max() <= 2 * bound, p.degree
+
+
+def test_poly_roots_non_finite_value_raises():
+    # roots of modulus 4.6e102: p overflows on the start circle
+    with pytest.raises(NoConvergence):
+        poly_roots(Poly([1e308, 0.0, 0.0, 1.0]))
+
+
 def test_poly_roots_no_convergence_reports_residual():
     with pytest.raises(NoConvergence) as err:
         poly_roots(psi_poly(8), max_iterations=1)

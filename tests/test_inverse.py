@@ -8,19 +8,15 @@ import pytest
 from frozenarg import (
     DegenerateConfiguration,
     DegenerateData,
-    DegreeMismatch,
     DiscreteProblem,
     NotDegenerate,
     PsiSeries,
     SideDataMismatch,
     WrongCount,
-    char_poly,
     degenerate_mu,
     discrete_spectrum,
     poly_from_roots,
-    psi_poly,
     psi_to_poly,
-    recover_wm,
     solve_degenerate,
     solve_nondegenerate,
     solve_symmetric,
@@ -42,33 +38,12 @@ def forward_mu(w, m):
     return discrete_spectrum(DiscreteProblem.from_w(w, m)).mu
 
 
-# ---------------------------------------------------------------------------
-# recover_wm
-# ---------------------------------------------------------------------------
-
-def test_recover_wm_free_problem():
-    for l, m in ((4, 1), (9, 5), (12, 7)):
-        assert recover_wm(psi_poly(l + 1), l, m) == 0
-
-
-def test_recover_wm_forward_oracle():
-    rng = np.random.default_rng(20)
-    for l, m in ((6, 2), (13, 8)):
-        w = rand_w(rng, l)
-        d = char_poly(DiscreteProblem.from_w(w, m))
-        assert abs(recover_wm(d, l, m) - w[m - 1]) <= 1e-10
-
-
-def test_recover_wm_is_negative_root_sum():
-    rng = np.random.default_rng(21)
-    mu = rng.uniform(-2, 2, 9) + 1j * rng.uniform(-1, 1, 9)
-    got = recover_wm(poly_from_roots(mu), 9, 4)
-    assert abs(got + mu.sum()) <= 1e-12 * max(1, abs(mu.sum()))
-
-
-def test_recover_wm_degree_guard():
-    with pytest.raises(DegreeMismatch):
-        recover_wm(psi_poly(5), 9, 3)
+def dense_mu(w, m):
+    """Eigenvalues of the explicit matrix T - w e_m^T by dense numpy.linalg.eigvals."""
+    l = len(w)
+    a = (np.eye(l, k=1) + np.eye(l, k=-1)).astype(complex)
+    a[:, m - 1] -= w
+    return np.linalg.eigvals(a)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +83,32 @@ def test_nondegenerate_random_roundtrips():
         w = rand_w(rng, l)
         got = solve_nondegenerate(forward_mu(w, m), m)
         assert rel_err(got, w) <= 1e-8, (l, m)
+
+
+@pytest.mark.parametrize("l, m", [(64, 21), (256, 85), (1024, 341), (64, 1), (64, 64), (256, 1), (256, 256)])
+def test_nondegenerate_against_dense_oracle(l, m):
+    # random complex |w| <= 1; m = 1 leaves no Q_0 coordinates, m = l no tail.
+    # Errors seen: 5e-13 (l = 64) to 1.3e-9 (l = 1024)
+    rng = np.random.default_rng(40 + l + m)
+    w = rand_w(rng, l)
+    assert rel_err(solve_nondegenerate(dense_mu(w, m), m), w) <= 1e-8
+
+
+def test_nondegenerate_mid_interval_large_l():
+    # m = 513 of l = 1024: against dense eigvals the error is about 7e-9,
+    # nearly all of it eigvals' own rounding amplified; with the spectrum
+    # from discrete_spectrum it is 2e-10
+    rng = np.random.default_rng(43)
+    l, m = 1024, 513
+    w = rand_w(rng, l)
+    assert rel_err(solve_nondegenerate(forward_mu(w, m), m), w) <= 1e-9
+
+
+@pytest.mark.parametrize("m", [1, 3, 341, 1021, 1023])
+def test_nondegenerate_free_problem_large_l(m):
+    l = 1023
+    mu = 2 * np.cos(np.pi * np.arange(1, l + 1) / (l + 1))
+    assert np.abs(solve_nondegenerate(mu, m)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +228,6 @@ def test_symmetric_coordinates_match_monomial_route():
     got = psi_to_poly(PsiSeries(coords))
     ref = poly_from_roots(roots)
     assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-10 * np.max(np.abs(ref.coeffs))
-
-
-def dense_mu(w, m):
-    """Eigenvalues of the explicit matrix T - w e_m^T by dense numpy.linalg.eigvals."""
-    l = len(w)
-    a = (np.eye(l, k=1) + np.eye(l, k=-1)).astype(complex)
-    a[:, m - 1] -= w
-    return np.linalg.eigvals(a)
 
 
 @pytest.mark.parametrize("m", [128, 256])
