@@ -26,6 +26,8 @@ import numpy as np
 from .errors import DegreeMismatch, DuplicateNode, InexactDivision, NoConvergence, WrongCount
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
+_EPS = np.finfo(float).eps
+_BLOCK = 1 << 15  # entries per row block of the O(n^2) kernels
 
 
 # ---------------------------------------------------------------------------
@@ -419,99 +421,80 @@ def _leja_index_order(pts) -> list[int]:
 def poly_roots(p: Poly, max_iterations: int = 500) -> np.ndarray:
     """All complex roots of p with multiplicity.
 
-    Aberth-Ehrlich simultaneous iteration started on Fujiwara's bound
-    2 max_k |c_k / c_deg|^(1/(deg-k)), which every root lies within, then a
-    few Newton polishing steps per root.  A non-finite p(z) on the way raises
-    NoConvergence.  Residual contract: max |p(z)| / (||p|| (1+|z|)^deg) <=
-    1e-10 for deg <= 64.
+    :func:`_aberth` started on Fujiwara's bound 2 max_k |c_k / c_deg|^(1/(deg-k)),
+    which every root lies within, with Horner's ratio p/p' and the scaled
+    residual 4 |p(z)| / ((2 deg + 1) sum_k |c_k| |z|^k): a root settles once
+    |p(z)| is below eps (2 deg + 1) sum_k |c_k| |z|^k, the running error
+    bound of the Horner evaluation.  A zero Fujiwara bound means
+    p = c_deg z^deg, whose roots are all 0.  A non-finite p(z) on the way
+    gives a non-finite step and raises NoConvergence.  Residual contract:
+    max |p(z)| / (||p|| (1+|z|)^deg) <= 1e-10 for deg <= 64.
     """
     deg = p.degree
     if deg < 1:
         raise DegreeMismatch("poly_roots requires degree >= 1")
     c = p.coeffs
-    if deg == 1:
-        return np.array([-c[0] / c[1]])
-    if deg == 2:
-        return _quadratic_roots(c[2], c[1], c[0])
     radius = 2.0 * np.max(np.abs(c[:-1] / c[-1]) ** (1.0 / (deg - np.arange(deg))))
-    k = np.arange(deg)
-    z = radius * np.exp(1j * (2 * np.pi * k / deg + 0.39))
+    if radius == 0:
+        return np.zeros(deg, dtype=complex)
     dcoef = c[1:] * np.arange(1, deg + 1)
-
-    def val(x):
-        out = np.zeros_like(x)
-        for ck in c[::-1]:
-            out = out * x + ck
-        return out
-
-    def dval(x):
-        out = np.zeros_like(x)
-        for ck in dcoef[::-1]:
-            out = out * x + ck
-        return out
-
     absc = np.abs(c)
 
-    def noise_floor(x):
-        # running error bound of the Horner evaluation: once |p(z)| sinks
-        # below it, the iterate is as converged as the arithmetic allows
-        out = np.zeros(np.shape(x))
+    def horner(x):
+        pv, dv, bound = np.zeros_like(x), np.zeros_like(x), np.zeros(x.shape)
         ax = np.abs(x)
-        for ck in absc[::-1]:
-            out = out * ax + ck
-        return out * (2.0 * deg + 1.0) * np.finfo(float).eps
-
-    converged = False
-    for _ in range(max_iterations):
-        with np.errstate(over="ignore", invalid="ignore"):
-            pv = val(z)
-        if not np.all(np.isfinite(pv)):
-            raise NoConvergence("p(z) is not finite at an Aberth iterate", worst_residual=np.inf)
-        dv = dval(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for k in range(deg, -1, -1):
+                pv = pv * x + c[k]
+                bound = bound * ax + absc[k]
+                if k:
+                    dv = dv * x + dcoef[k - 1]
             newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)
-            step = _aberth_correction(z, newton)
-        step = np.where(np.isfinite(step), step, 0.0)
-        at_floor = np.abs(pv) <= noise_floor(z)
-        z = z - np.where(at_floor, 0.0, step)
-        if np.all(at_floor | (np.abs(step) <= 1e-14 * (1.0 + np.abs(z)))):
-            converged = True
+            res = np.where(pv == 0, 0.0, np.abs(pv) / bound * (4.0 / (2 * deg + 1)))
+        return newton, res
+
+    z = radius * np.exp(1j * (2 * np.pi * np.arange(deg) / deg + 0.39))
+    return _aberth(z, horner, max_iterations)
+
+
+def _aberth(z, ratio, max_iterations: int) -> np.ndarray:
+    """Simultaneous Aberth-Ehrlich iteration on the starting points z (Bini and Fiorentino 2000).
+
+    ``ratio(x) -> (newton, scaled_residual)`` gives the Newton ratio f/f' and
+    a residual scaled so that 4 eps is the rounding level of f, for the points
+    x; it is called on at most _BLOCK // len(z) + 1 points at a time.  Each
+    sweep moves every active root by N_i / (1 - N_i sum_{j != i} 1/(z_i - z_j))
+    (a zero denominator leaves the Newton ratio N_i), then a root settles
+    once its scaled residual is <= 4 eps or its step <= 1e-14 (1 + |z_i|);
+    settled roots still enter the others' sums.  Raises NoConvergence on a
+    non-finite step or after max_iterations sweeps, with the worst residual.
+    Updates z in place and returns it.
+    """
+    n = len(z)
+    block = _BLOCK // max(n, 1) + 1  # rows per block: about 0.5 MB per matrix at any n
+    work = np.empty((min(n, block), n), dtype=complex)  # once per call, not a page-faulting temporary per block
+    active = np.arange(n)
+    res = np.full(n, np.inf)
+    for _ in range(max_iterations):
+        if not len(active):
             break
-    if not converged:
-        res = np.abs(val(z)) / (np.abs(c).max() * (1.0 + np.abs(z)) ** deg)
+        step = np.empty(len(active), dtype=complex)
+        res = np.empty(len(active))
+        for lo in range(0, len(active), block):
+            rows = active[lo : lo + block]
+            newton, res[lo : lo + block] = ratio(z[rows])
+            diff = np.subtract(z[rows, None], z, out=work[: len(rows)])
+            diff[np.arange(len(rows)), rows] = np.inf
+            with np.errstate(divide="ignore", invalid="ignore"):
+                denom = 1.0 - newton * np.divide(1.0, diff, out=diff).sum(axis=1)
+                step[lo : lo + block] = newton / np.where(denom == 0, 1, denom)
+        if not np.isfinite(step).all():
+            raise NoConvergence("Aberth iteration produced a non-finite step")
+        z[active] -= step
+        active = active[(res > 4.0 * _EPS) & (np.abs(step) > 1e-14 * (1.0 + np.abs(z[active])))]
+    if len(active):
         raise NoConvergence(
-            f"Aberth iteration hit the cap ({max_iterations}); worst residual {res.max():.3e}",
+            f"Aberth iteration hit the cap ({max_iterations}); worst scaled residual {res.max():.3e}",
             worst_residual=float(res.max()),
         )
-    for _ in range(3):
-        pv = val(z)
-        dv = dval(z)
-        good = (dv != 0) & (np.abs(pv) > noise_floor(z))
-        z = np.where(good, z - pv / np.where(dv == 0, 1, dv), z)
     return z
-
-
-def _aberth_correction(z, newton, rows=None):
-    """Aberth steps N_i / (1 - N_i sum_{j != i} 1 / (z_i - z_j)) for the roots z[rows].
-
-    ``newton`` holds the Newton ratios N_i of those roots (all of z when rows
-    is None); the sum runs over every entry of z except z_i itself.  A zero
-    denominator leaves the Newton ratio unchanged.
-    """
-    rows = np.arange(len(z)) if rows is None else rows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff = z[rows, None] - z[None, :]
-        diff[np.arange(len(rows)), rows] = np.inf
-        s = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - newton * s
-        return newton / np.where(denom == 0, 1, denom)
-
-
-def _quadratic_roots(a, b, c) -> np.ndarray:
-    s = np.sqrt(b * b - 4 * a * c + 0j)
-    if abs(b + s) < abs(b - s):
-        s = -s
-    q = -0.5 * (b + s)
-    if q == 0:  # b = c = 0
-        return np.array([0.0 + 0j, -b / a])
-    return np.array([q / a, c / q])

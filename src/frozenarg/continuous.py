@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discrete import _BLOCK
+from .chebypoly import _BLOCK
 from .errors import BracketFailure, NoConvergence, QuadratureFailure, WrongCount
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)

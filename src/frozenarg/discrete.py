@@ -25,11 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chebypoly import Poly, PsiSeries, _aberth_correction, _dst1, psi_to_poly, psi_zeros
-from .errors import BadIndex, FrozenArgError, NoConvergence, WrongCount
-
-_EPS = np.finfo(float).eps
-_BLOCK = 1 << 15
+from .chebypoly import _BLOCK, _EPS, Poly, PsiSeries, _aberth, _dst1, psi_to_poly, psi_zeros
+from .errors import BadIndex, FrozenArgError, WrongCount
 
 
 @dataclass(frozen=True)
@@ -216,11 +213,12 @@ def discrete_spectrum(p: DiscreteProblem, max_iterations: int = 500) -> Spectrum
     A weight with |a_k| <= 4 eps (1 + sum |a|) is deflated: nu_k is then an
     exact eigenvalue (the potential-independent ones when gcd(m, l+1) > 1,
     and modes a symmetric w does not reach).  The other roots come from
-    simultaneous Aberth iteration with the Newton ratio
-    D/D' = f / (f sum 1/(mu - nu_k) + f'), O(l) per point, free of overflow.
-    Root k starts at nu_k + r_k e^{i(0.39 + 2 pi k/n)}, where r_k is half of
-    min(|a_k|, gap to the nearest pole), plus 1e-8, and is frozen once its
-    step falls to 1e-14 (1 + |mu|) or |f| to its rounding level.
+    :func:`chebypoly._aberth` with the Newton ratio
+    D/D' = f / (f sum 1/(mu - nu_k) + f'), O(l) per point, free of overflow,
+    and the scaled residual |f| / (1 + sum |a_k / (mu - nu_k)|).  Root k
+    starts at nu_k + r_k e^{i(0.39 + 2 pi k/n)}, where r_k is half of
+    min(|a_k|, gap to the nearest pole), plus 1e-8, and settles once its
+    step falls to 1e-14 (1 + |mu|) or its scaled residual to 4 eps.
 
     Checked against dense eigenvalues of T - w e_m^T to 1e-10 relative to
     max(1, |mu|) for l up to 1024, real and complex w with |w| up to 100 and
@@ -235,31 +233,18 @@ def discrete_spectrum(p: DiscreteProblem, max_iterations: int = 500) -> Spectrum
     gap = np.abs(np.diff(nu, prepend=np.inf, append=-np.inf))
     radius = np.minimum(np.abs(a), np.minimum(gap[:-1], gap[1:])) / 2.0 + 1e-8
     z = nu + radius * np.exp(1j * (0.39 + 2.0 * np.pi * np.arange(n) / n))
-    active = np.arange(n)
-    res = np.full(n, np.inf)  # |f| / (1 + sum |a_k / (mu - nu_k)|)
-    block = _BLOCK // max(n, 1) + 1  # rows per block: about 0.5 MB per matrix at any l
-    for _ in range(max_iterations):
-        if not len(active):
-            break
-        step = np.empty(len(active), dtype=complex)
-        res = np.empty(len(active))
-        for lo in range(0, len(active), block):
-            rows = active[lo : lo + block]
-            r = 1.0 / (z[rows, None] - nu)
-            ra = r * a
-            f = 1.0 + ra.sum(axis=1)
-            newton = f / (f * r.sum(axis=1) - (r * ra).sum(axis=1))
-            step[lo : lo + block] = _aberth_correction(z, newton, rows)
-            res[lo : lo + block] = np.abs(f) / (1.0 + np.abs(ra).sum(axis=1))
-        if not np.isfinite(step).all():
-            raise NoConvergence("spectrum iteration produced a non-finite step")
-        z[active] -= step
-        active = active[(res > 4.0 * _EPS) & (np.abs(step) > 1e-14 * (1.0 + np.abs(z[active])))]
-    if len(active):
-        raise NoConvergence(
-            f"spectrum iteration hit the cap ({max_iterations}); worst scaled residual {res.max():.3e}",
-            worst_residual=float(res.max()),
-        )
+    # _aberth passes at most this many points at a time; filled in place, since
+    # fresh 0.5 MB temporaries are page-faulted in again on every block
+    work = np.empty((3, min(n, _BLOCK // max(n, 1) + 1), n), dtype=complex)
+
+    def secular(x):
+        r, ra, rra = work[:, : len(x)]
+        np.divide(1.0, np.subtract(x[:, None], nu, out=r), out=r)  # not np.reciprocal: other bits
+        f = 1.0 + np.multiply(r, a, out=ra).sum(axis=1)
+        newton = f / (f * r.sum(axis=1) - np.multiply(r, ra, out=rra).sum(axis=1))
+        return newton, np.abs(f) / (1.0 + np.abs(ra).sum(axis=1))
+
+    _aberth(z, secular, max_iterations)
     mu[live] = z
     return Spectrum.from_mu(mu, p.h)
 

@@ -12,9 +12,10 @@ Three regimes:
 
 The nondegenerate and symmetric solvers read psi coordinates off the values
 of prod (nu - mu_n) at the closed-form zeros 2 cos(pi k / n) of psi_n, through
-one DST-I (:func:`_grid_coordinates`); the degenerate solver still interpolates
-on those zeros in the monomial basis.  No numerical root-finding enters the
-inversion, so results are deterministic.
+one DST-I (:func:`_grid_coordinates`); the degenerate solver takes its node
+values on those zeros the same way, but still interpolates them in the
+monomial basis.  No numerical root-finding enters the inversion, so results
+are deterministic.
 """
 
 from __future__ import annotations
@@ -25,16 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebypoly import (
+    _BLOCK,
     Poly,
     _dst1,
     interpolate,
     poly_from_roots,
     poly_to_psi,
-    psi_eval,
     psi_poly,
     psi_zeros,
 )
-from .discrete import _BLOCK
 from .errors import (
     DegenerateConfiguration,
     NotDegenerate,
@@ -70,11 +70,6 @@ class DegenerateData:
                 f"side={self.side} with d={self.d} needs {expected} known values, "
                 f"got {len(self.known_w)}"
             )
-
-
-def _prod_eval(mu_roots: np.ndarray, z: complex) -> complex:
-    """Evaluate prod (z - mu_n): stable product form of the monic D."""
-    return complex(np.prod(z - mu_roots))
 
 
 def _read_left(w: np.ndarray, q0: Poly, m: int) -> None:
@@ -184,17 +179,19 @@ def _solve_degenerate_left(mu_reduced: np.ndarray, m: int, l: int, known_w: np.n
     for i, kw in enumerate(known_w):
         w[m - d + i] = kw  # w_{m-d+1}..w_{m-1}
 
-    # zeros of phi_{m-d} = psi_m / psi_d: drop every (m/d)-th zero of psi_m
-    step = m // d
-    nus = np.array([2.0 * math.cos(math.pi * k / m) for k in range(1, m) if k % step != 0])
+    # zeros nu_k = 2 cos(theta_k), theta_k = pi k/m, of phi_{m-d} = psi_m / psi_d:
+    # drop every (m/d)-th zero of psi_m, where psi_{l-m+1} vanishes too
+    k = np.arange(1, m)
+    k = k[k % (m // d) != 0]
+    nus = psi_zeros(m)[k - 1]
+
+    def psi(j):  # psi_j(nu_k) = sin(j theta_k) / sin(theta_k), j k reduced mod 2m
+        return np.sin(np.pi * (j * k % (2 * m)) / m) / np.sin(np.pi * k / m)
 
     # Q_0^bullet = Q_0 + psi_{m-1} - sum_{j=m-d+1}^{m-1} w_j psi_j = sum_{j<=m-d} w_j psi_j
-    vals = []
-    for nu in nus:
-        v = _prod_eval(mu_all, nu) / psi_eval(l - m + 1, nu) + psi_eval(m - 1, nu)
-        for j in range(m - d + 1, m):
-            v -= w[j - 1] * psi_eval(j, nu)
-        vals.append(v)
+    vals = _product_at(nus, mu_all) / psi(l - m + 1) + psi(m - 1)
+    for j in range(m - d + 1, m):
+        vals -= w[j - 1] * psi(j)
     q0_bullet = interpolate(nus, vals)
 
     q0 = q0_bullet - psi_poly(m - 1)

@@ -311,6 +311,27 @@ def test_poly_roots_real_roots_on_wide_interval():
         assert np.abs(roots).max() <= 2 * bound, p.degree
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_poly_roots_monomial(k):
+    # every lower coefficient is zero, so Fujiwara's bound is 0: all roots
+    # start at 0, where the Aberth sums would divide by z_i - z_j = 0
+    roots = poly_roots(Poly([0] * k + [1]))
+    assert len(roots) == k
+    assert np.all(roots == 0)
+
+
+@pytest.mark.parametrize("roots", [[1.0, 1.0, 2.0], [0.5] * 4 + [-1.0]])
+def test_poly_roots_multiple_roots(roots):
+    # a root of multiplicity s is only fixed to about eps^(1/s); the residual
+    # contract still holds (seen <= 2e-17)
+    p = poly_from_roots(roots)
+    got = poly_roots(p)
+    res = np.abs(p(got)) / (np.max(np.abs(p.coeffs)) * (1 + np.abs(got)) ** p.degree)
+    assert len(got) == len(roots)
+    assert res.max() <= 1e-10
+    assert _match_multisets(got, np.asarray(roots, dtype=complex)) <= 1e-3  # seen 8e-5
+
+
 def test_poly_roots_non_finite_value_raises():
     # roots of modulus 4.6e102: p overflows on the start circle
     with pytest.raises(NoConvergence):
