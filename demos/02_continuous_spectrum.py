@@ -24,7 +24,7 @@ from frozenarg import (
 spec0 = continuous_spectrum(zero_potential(), 9)
 print("free problem:", [f"{lam:.6f}" for _, lam in spec0.odd])
 
-# R itself, on both sides of |rho| = 2 where the grid sum hands over to the exact sum
+# R itself, one exact Filon sum over p's cubic pieces at every rho
 for make in (quadratic_potential, tent_potential, constant_potential):
     pot = make()
     row = "  ".join(f"R({rho}) = {r_eval(pot, rho).real:+.12f}" for rho in (1.5, 3.7))

@@ -8,15 +8,16 @@ With a = pi/2 the characteristic function factorizes,
 
 so the spectrum splits into the potential-independent eigenvalues (2n)^2 and
 the squares of the zeros of R.  Every potential built here is cubic between
-its knots, so one R serves them all: a Gauss-Legendre grid aligned with the
-folded knots samples p once, and R is exact to rounding from the grid sum
-below |rho| = 2 and from a Filon sum over the panels' cubics above.  The
-zeros of R come from a sign-change scan and safeguarded Newton steps in the
-brackets, with R' from R at rho + 1e-30 i (the complex step).
+its knots, so one R serves them all: one Gauss-Legendre panel per cubic
+piece, between the folded knots, samples p once, and a Filon sum over the
+panels' cubics gives R exact to rounding at every rho.  The zeros of R
+come from a sign-change scan and safeguarded Newton steps in the brackets,
+with R' from R at rho + 1e-30 i (the complex step).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -33,7 +34,6 @@ _PROJECT = (np.arange(4) + 0.5)[:, None] * (_AT_NODES * _GL_WEIGHTS[:, None]).T 
 _BESSEL_SERIES = np.array([[(-0.5) ** n / (math.factorial(n) * math.prod(range(2 * k + 2 * n + 1, 0, -2)))
                             for k in range(4)] for n in range(10)])
 _SERIES_POWERS, _ORDERS = np.arange(10), np.arange(4)
-_GRID_RHO = 2.0  # the grid resolves sin(rho t) up to this |rho|; from there on R is the exact sum
 _CUBIC_TOL = 1e-10  # largest miss of a panel's cubic at its samples, relative to max |p|
 _SCAN_START = 0.1  # rho where the sign-change scan for the zeros of R starts
 _SCAN_STEP = 0.25  # rho spacing of that scan
@@ -147,36 +147,30 @@ def potential_from_csv(path) -> BenchmarkPotential:
 # ---------------------------------------------------------------------------
 
 def _quadrature_grid(pot: BenchmarkPotential):
-    """Composite 8-point Gauss-Legendre grid on [0, pi/2] with p sampled once, and p's cubics.
+    """p's cubic on each panel of [0, pi/2], from one 8-point Gauss-Legendre sample of p per panel.
 
-    The breakpoints are 0, pi/2 and the spline knots folded into [0, pi/2],
-    and an interval of width h gets ceil(2 h) panels, so every panel sees one
-    cubic piece of p and sin(rho t) is resolved up to |rho| = 2.  The Legendre
+    The panels run between 0, pi/2 and the spline knots folded into
+    [0, pi/2], so every panel sees one cubic piece of p.  The Legendre
     projection of a panel's samples, c_k = (2k+1)/2 sum w_i P_k(x_i) p_i, is
     p's cubic there; QuadratureFailure if it misses a sample by more than
-    1e-10 max|p|.  Returns t/pi and w p(t) t at the nodes, the panel centres,
-    the distinct half-widths with each panel's index into them, and
-    2 half (c_0, c_1, -c_2, -c_3) per panel.
+    1e-10 max|p|.  Returns the panel centres, the distinct half-widths with
+    each panel's index into them, and 2 half (c_0, c_1, -c_2, -c_3) per panel.
     """
     edges = [0.0, math.pi / 2]
     if pot.samples is not None:
         x = pot.samples[:, 0]
         edges = np.concatenate([edges, x, math.pi - x])
     edges = np.unique(np.clip(edges, 0.0, math.pi / 2))
-    counts = np.ceil(np.diff(edges) * _GRID_RHO).astype(int)
-    half = np.repeat(0.5 * np.diff(edges) / counts, counts)
-    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)  # panel index in its interval
-    mid = np.repeat(edges[:-1], counts) + (2 * k + 1) * half
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
     t = mid[:, None] + half[:, None] * _GL_NODES
     samples = np.asarray(pot.p(t.ravel()), dtype=float).reshape(t.shape)
     coeffs = samples @ _PROJECT.T
     miss = np.max(np.abs(samples - coeffs @ _AT_NODES.T))
     if not miss <= _CUBIC_TOL * np.max(np.abs(samples)):  # written so that a NaN sample fails too
         raise QuadratureFailure(f"p is not cubic between its knots: a panel cubic misses a sample by {miss:.2e}")
-    t = t.ravel()
-    wp = (half[:, None] * _GL_WEIGHTS * samples).ravel()
     widths, which = np.unique(half, return_inverse=True)
-    return t / math.pi, wp * t, mid, widths, which, 2.0 * half[:, None] * coeffs * [1.0, 1.0, -1.0, -1.0]
+    return mid, widths, which, 2.0 * half[:, None] * coeffs * [1.0, 1.0, -1.0, -1.0]
 
 
 def _spherical_bessel(w) -> np.ndarray:
@@ -210,31 +204,29 @@ def _bessel_upward(w) -> np.ndarray:
 
 
 def _r(grid, rho) -> np.ndarray:
-    """R at a vector of real or complex rho.
+    """R at a vector of real or complex rho, exact to rounding for p cubic on every panel.
 
     2 cos(rho pi/2) is taken as (-1)^k 2 cos((rho/2 - k) pi), k the integer
-    nearest to Re rho/2, which is exact to rounding at any rho.
-    Below |rho| = 2: the grid sum of w p sin(rho t)/rho, the kernel written
-    t sinc(rho t/pi) so that rho = 0 gives 2 + sum w p t.  From |rho| = 2 on,
-    a Filon-type rule, exact for cubic p at O(panels) per rho: on a panel with
-    centre m and half-width h, p = sum_k c_k P_k((t - m)/h), and the integral
-    of P_k(x) e^{iwx} over [-1, 1] is 2 i^k j_k(w), so int p sin(rho t) dt =
+    nearest to Re rho/2, which is exact to rounding at any rho.  The integral
+    is a Filon-type sum at O(panels) per rho: on a panel with centre m and
+    half-width h, p = sum_k c_k P_k((t - m)/h), and the integral of
+    P_k(x) e^{iwx} over [-1, 1] is 2 i^k j_k(w), so int p sin(rho t) dt =
     2h [sin(rho m)(c_0 j_0 - c_2 j_2) + cos(rho m)(c_1 j_1 - c_3 j_3)](rho h).
+    Every term is O(rho), so dividing by rho keeps the digits down to tiny
+    and complex rho; at rho = 0, R(0) = 2 + int p t dt = 2 + sum 2h (m c_0 + h c_1/3).
     The j_k are evaluated once per distinct half-width and gathered to the
     panels.  Kernels are built in row blocks of at most _BLOCK entries per
     array.
     """
-    t_pi, wpt, mid, widths, which, coeffs = grid
+    mid, widths, which, coeffs = grid
     rho = np.asarray(rho)
     turns = np.rint(rho.real / 2)  # rho/2 - turns is exact
     r = (2.0 - 4.0 * (turns % 2)) * np.cos((rho / 2 - turns) * math.pi)
-    small = np.abs(rho) < _GRID_RHO
-    if small.any():
-        r[small] += np.sinc(np.outer(rho[small], t_pi)) @ wpt
-    big = np.flatnonzero(~small)
+    r[rho == 0] += (mid * coeffs[:, 0] + widths[which] * coeffs[:, 1] / 3.0).sum()
+    nonzero = np.flatnonzero(rho)
     rows = max(1, _BLOCK // (4 * mid.size))
-    for lo in range(0, big.size, rows):
-        i = big[lo : lo + rows]
+    for lo in range(0, nonzero.size, rows):
+        i = nonzero[lo : lo + rows]
         x = rho[i][:, None]
         j = _spherical_bessel(x * widths)[:, which] * coeffs
         arg = x * mid
@@ -246,14 +238,16 @@ def _r(grid, rho) -> np.ndarray:
 def r_eval(pot: BenchmarkPotential, rho) -> complex:
     """R(rho), the reduced characteristic function whose zeros give the odd eigenvalues.
 
-    p is sampled once, on the knot-aligned grid.  Below |rho| = 2, R is the
-    Gauss-Legendre sum of p(t) sin(rho t)/rho, which does not cancel; at
-    rho = 0 it is R(0) = 2 + int p(t) t dt.  From |rho| = 2 on, R is the
-    exact sum over p's cubic pieces, at any complex rho.  Both are exact to
-    rounding when p is cubic between its knots, as every potential built here
-    is; any other p raises QuadratureFailure.
+    p is sampled once, on one Gauss-Legendre panel per cubic piece, and R is
+    the exact sum over those pieces at any real or complex rho; at rho = 0 it
+    is R(0) = 2 + int p(t) t dt.  It is exact to rounding when p is cubic
+    between its knots, as every potential built here is; any other p raises
+    QuadratureFailure.
     """
-    return complex(_r(_quadrature_grid(pot), np.array([complex(rho)]))[0])
+    rho = complex(rho)
+    if not cmath.isfinite(rho):
+        raise WrongCount(f"rho must be finite, got {rho}")
+    return complex(_r(_quadrature_grid(pot), np.array([rho]))[0])
 
 
 def delta_eval(pot: BenchmarkPotential, lam) -> complex:
@@ -262,7 +256,10 @@ def delta_eval(pot: BenchmarkPotential, lam) -> complex:
     The prefactor and R are even in rho, so the square-root branch does not
     matter; at lambda = 0 the removable limit (pi/2) R(0) is returned.
     """
-    rho = np.sqrt(complex(lam))
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise WrongCount(f"lambda must be finite, got {lam}")
+    rho = np.sqrt(lam)
     return complex(math.pi / 2 * np.sinc(rho / 2) * r_eval(pot, rho))  # sinc(rho/2) pi/2 = sin(rho pi/2)/rho
 
 

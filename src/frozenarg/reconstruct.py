@@ -25,6 +25,8 @@ from .inverse import solve_symmetric
 
 def correction(lambda_n: float, n: int, m: int) -> float:
     """Surrogate discrete eigenvalue lambda_n - n^2 + 4 sin^2(n h / 2) / h^2."""
+    if not math.isfinite(lambda_n):
+        raise WrongCount(f"lambda_{n} must be finite, got {lambda_n}")
     if not 1 <= n <= 2 * m - 1:
         raise WrongCount(f"index n={n} outside [1, {2 * m - 1}]")
     h = math.pi / (2 * m)
@@ -201,22 +203,20 @@ class ConvergenceStudy:
 def convergence_study(pot: BenchmarkPotential, ms, ns) -> ConvergenceStudy:
     """Measure correction-error decay across grid refinements.
 
-    For each m, the full discrete spectrum of the sampled potential and the
-    continuous eigenvalues (the zeros of R) are computed once; errors
-    e_{n,m} = |lambda_{n,l} - lambda~_{n,l}| are tabulated for the requested
-    odd n, for the half-ratio trapezoid sums, and for the worst odd n >= m.
+    The continuous eigenvalues (the zeros of R) are computed once, up to
+    n = 2 max(ms) - 1, and for each m the full discrete spectrum of the
+    sampled potential; errors e_{n,m} = |lambda_{n,l} - lambda~_{n,l}| are
+    tabulated for the requested odd n, for the half-ratio trapezoid sums, and
+    for the worst odd n >= m.  A slope needs at least two distinct positive m;
+    WrongCount otherwise.
     """
     ms = [int(m) for m in ms]
     ns = [int(n) for n in ns]
     if any(n < 1 or n % 2 == 0 for n in ns):
         raise WrongCount("ns must be odd positive integers")
-    lam_cont: dict[int, float] = {}
-
-    def lam_n(n, n_max):
-        if n not in lam_cont:
-            spec = continuous_spectrum(pot, n_max)
-            lam_cont.update(dict(spec.odd))
-        return lam_cont[n]
+    if len(set(ms)) < 2 or min(ms) < 1:
+        raise WrongCount(f"ms must hold at least two distinct positive grid sizes, got {ms}")
+    lam_n = dict(continuous_spectrum(pot, 2 * max(ms) - 1).odd)
 
     rows = []
     trapezoid_rows = []
@@ -230,11 +230,11 @@ def convergence_study(pot: BenchmarkPotential, ms, ns) -> ConvergenceStudy:
         for n in ns:
             if n > l:
                 continue
-            tilde = correction(lam_n(n, l), n, m)
+            tilde = correction(lam_n[n], n, m)
             rows.append((n, m, h, abs(float(lam_d[n - 1]) - tilde)))
         worst = 0.0
         for n in range(m if m % 2 == 1 else m + 1, l + 1, 2):
-            tilde = correction(lam_n(n, l), n, m)
+            tilde = correction(lam_n[n], n, m)
             worst = max(worst, abs(float(lam_d[n - 1]) - tilde))
         tail_rows.append((m, h, worst))
         n_half = m if m % 2 == 1 else m + 1

@@ -128,6 +128,13 @@ def test_convergence_command(tmp_path):
     assert abs(payload["diagnostics"]["slopes"]["correction_error_n1"] - 2.0) <= 0.4
 
 
+def test_convergence_on_one_grid_exits_1(capsys):
+    assert main(["convergence", "--potential", "quadratic", "--ms", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "WrongCount"
+
+
 def test_json_schema_keys(tmp_path):
     out = tmp_path / "fwd.json"
     run(RunConfig(command="forward", potential="zero", l=3, m=1, format="json", output=str(out)))

@@ -160,8 +160,8 @@ def test_closed_form_matches_quadrature():
 
 
 def test_small_rho_series_agrees_with_closed_form():
-    # across the |rho| = 2 switch from the grid sum to the exact piecewise
-    # sum the two routes must join smoothly; the closed forms are the oracle
+    # R is one Filon sum at every rho, so it meets the closed forms just
+    # below and just above rho = 2 alike
     for name, make in NAMED.items():
         pot = make()
         for rho in (2.0 - 1e-3, 2.0 + 1e-3):
@@ -203,11 +203,11 @@ def closed_r_mp(name, rho, derivative=0):
 
 
 @pytest.mark.parametrize("oracle", ["auto", "closed"])
-@pytest.mark.parametrize("rho", [0.05 + 0.03j, 1e-6j, 1e-9])
+@pytest.mark.parametrize("rho", [0.05 + 0.03j, 1e-6j, 1e-9, 0.3, 1.7, 1.999])
 def test_small_rho_matches_quad(rho, oracle):
-    # below |rho| = 2 R is the grid sum, where sin(rho t)/rho does not
-    # cancel; the oracle is scipy.quad on the real and imaginary parts
-    # ("auto") or the closed form in 60-digit mpmath ("closed")
+    # every term of the Filon sum is O(rho), so dividing it by a small rho
+    # keeps its digits; the oracle is scipy.quad on the real and imaginary
+    # parts ("auto") or the closed form in 60-digit mpmath ("closed")
     for name, make in NAMED.items():
         pot = make()
         if oracle == "closed":
@@ -352,7 +352,7 @@ def test_spline_spectrum_at_n_max_1999_matches_closed_form():
 
 @pytest.mark.parametrize("qk", [1.0 + np.cos(2.0 * KNOTS), 60.0 * np.sin(KNOTS)], ids=["1+cos2x", "60sinx"])
 def test_exact_r_matches_knot_aligned_oracle(qk):
-    # from |rho| = 2 on R is the Filon sum over the spline's cubic pieces
+    # R is the Filon sum over the spline's cubic pieces
     pot = sampled_potential(KNOTS, qk)
     for rho in (2.0, 3.3, 17.9, 151.2):
         assert abs(r_eval(pot, rho) - spline_r_oracle(qk, rho)) <= 1e-12, rho
@@ -399,8 +399,8 @@ def test_newton_safeguard_on_a_steep_step():
 @pytest.mark.parametrize("rho", [0.3, 1.9, 2.0, 7.3, 151.2])
 @pytest.mark.parametrize("name", list(NAMED))
 def test_complex_step_derivative_matches_closed_form(name, rho):
-    # R(x + i s) = R(x) + i s R'(x) to rounding: R is analytic in rho on
-    # both sides of |rho| = 2, and s = 1e-30 leaves no truncation error
+    # R(x + i s) = R(x) + i s R'(x) to rounding: R is analytic in rho, and
+    # s = 1e-30 leaves no truncation error
     got = r_eval(NAMED[name](), complex(rho, 1e-30)).imag / 1e-30
     assert abs(got - closed_r_mp(name, rho, derivative=1).real) <= 1e-12
 
@@ -434,8 +434,8 @@ def test_bessel_moments_per_width_match_per_panel(knots):
     # j_k(rho h) is evaluated once per distinct half-width h and gathered to
     # the panels; with one entry per panel instead, R must not move a bit
     x, qk = (KNOTS, 1.0 + np.cos(2.0 * KNOTS)) if knots == "41" else rough_spline()
-    t_pi, wpt, mid, widths, which, coeffs = grid = continuous._quadrature_grid(sampled_potential(x, qk))
-    per_panel = (t_pi, wpt, mid, widths[which], np.arange(which.size), coeffs)
+    mid, widths, which, coeffs = grid = continuous._quadrature_grid(sampled_potential(x, qk))
+    per_panel = (mid, widths[which], np.arange(which.size), coeffs)
     for rho in (np.arange(0.1, 80.0, 0.25), np.linspace(2.0, 4000.0, 999) + 1e-30j, np.array([7.3 + 0.4j])):
         assert np.array_equal(continuous._r(grid, rho), continuous._r(per_panel, rho))
 

@@ -13,8 +13,10 @@ from frozenarg import (
     constant_potential,
     convergence_study,
     correction,
+    delta_eval,
     error_report,
     quadratic_potential,
+    r_eval,
     reconstruct,
     reconstruct_from_potential,
     solve_symmetric,
@@ -76,6 +78,21 @@ def test_correction_benchmark_values():
 def test_correction_index_guard():
     with pytest.raises(WrongCount):
         correction(1.0, 10, 5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda x: r_eval(quadratic_potential(), x),
+    lambda x: r_eval(quadratic_potential(), complex(1.0, x)),
+    lambda x: delta_eval(quadratic_potential(), x),
+    lambda x: delta_eval(quadratic_potential(), complex(1.0, x)),
+    lambda x: correction(x, 3, 5),
+    lambda x: reconstruct([1.0, x, 25.0], 3),
+], ids=["r_eval", "r_eval-imag", "delta_eval", "delta_eval-imag", "correction", "reconstruct"])
+def test_non_finite_arguments_raise(call, bad):
+    # no call may answer a non-finite argument with NaN
+    with pytest.raises(WrongCount, match="finite"):
+        call(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +254,27 @@ def test_study_trapezoid_rate():
 def test_study_rejects_even_n():
     with pytest.raises(WrongCount):
         convergence_study(zero_potential(), ms=(4,), ns=(2,))
+
+
+@pytest.mark.parametrize("ms", [(5,), (5, 5), (), (0, 5)], ids=["one", "repeated", "none", "zero"])
+def test_study_needs_two_distinct_grids(ms):
+    # a slope through fewer than two points is a min-norm fit, not an order
+    with pytest.raises(WrongCount, match="two distinct"):
+        convergence_study(quadratic_potential(), ms=ms, ns=(1, 3))
+
+
+def test_study_uses_one_continuous_spectrum(monkeypatch):
+    # every row reads its lambda_n from one spectrum up to n = 2 max(ms) - 1
+    module = importlib.import_module("frozenarg.reconstruct")
+    spectrum, calls = module.continuous_spectrum, []
+
+    def counted(pot, n_max):
+        calls.append(n_max)
+        return spectrum(pot, n_max)
+
+    monkeypatch.setattr(module, "continuous_spectrum", counted)
+    convergence_study(quadratic_potential(), ms=(5, 10, 20), ns=(1, 3))
+    assert calls == [39]
 
 
 def test_monotone_improvement():
