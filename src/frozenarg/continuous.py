@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .chebypoly import _BLOCK
-from .errors import BracketFailure, NoConvergence, QuadratureFailure, WrongCount
+from .errors import BracketFailure, FrozenArgError, NoConvergence, QuadratureFailure, WrongCount
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _AT_NODES = np.polynomial.legendre.legvander(_GL_NODES, 3)  # P_k(x_i), k = 0..3
@@ -242,25 +242,38 @@ def r_eval(pot: BenchmarkPotential, rho) -> complex:
     the exact sum over those pieces at any real or complex rho; at rho = 0 it
     is R(0) = 2 + int p(t) t dt.  It is exact to rounding when p is cubic
     between its knots, as every potential built here is; any other p raises
-    QuadratureFailure.
+    QuadratureFailure.  |R| grows like e^{|Im rho| pi/2}; where it leaves
+    double range (|Im rho| > 451 or so) FrozenArgError is raised.
     """
     rho = complex(rho)
     if not cmath.isfinite(rho):
         raise WrongCount(f"rho must be finite, got {rho}")
-    return complex(_r(_quadrature_grid(pot), np.array([rho]))[0])
+    grid = _quadrature_grid(pot)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = complex(_r(grid, np.array([rho]))[0])
+    if not cmath.isfinite(r):
+        raise FrozenArgError(f"R(rho) leaves double range at rho = {rho}")
+    return r
 
 
 def delta_eval(pot: BenchmarkPotential, lam) -> complex:
     """Characteristic function Delta(lambda) = (1/rho) sin(rho pi/2) R(rho).
 
     The prefactor and R are even in rho, so the square-root branch does not
-    matter; at lambda = 0 the removable limit (pi/2) R(0) is returned.
+    matter; at lambda = 0 the removable limit (pi/2) R(0) is returned.  Where
+    Delta leaves double range (lambda = -5.2e4 for the quadratic) FrozenArgError
+    is raised.
     """
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise WrongCount(f"lambda must be finite, got {lam}")
     rho = np.sqrt(lam)
-    return complex(math.pi / 2 * np.sinc(rho / 2) * r_eval(pot, rho))  # sinc(rho/2) pi/2 = sin(rho pi/2)/rho
+    r = r_eval(pot, rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = complex(math.pi / 2 * np.sinc(rho / 2) * r)  # sinc(rho/2) pi/2 = sin(rho pi/2)/rho
+    if not cmath.isfinite(delta):
+        raise FrozenArgError(f"Delta(lambda) leaves double range at lambda = {lam}")
+    return delta
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,8 @@ def convergence_study(pot: BenchmarkPotential, ms, ns) -> ConvergenceStudy:
     n = 2 max(ms) - 1, and for each m the full discrete spectrum of the
     sampled potential; errors e_{n,m} = |lambda_{n,l} - lambda~_{n,l}| are
     tabulated for the requested odd n, for the half-ratio trapezoid sums, and
-    for the worst odd n >= m.  A slope needs at least two distinct positive m;
+    for the worst odd n >= m.  A slope needs at least two distinct positive m,
+    and each requested n at least two distinct m with n <= 2m - 1;
     WrongCount otherwise.
     """
     ms = [int(m) for m in ms]
@@ -216,6 +217,9 @@ def convergence_study(pot: BenchmarkPotential, ms, ns) -> ConvergenceStudy:
         raise WrongCount("ns must be odd positive integers")
     if len(set(ms)) < 2 or min(ms) < 1:
         raise WrongCount(f"ms must hold at least two distinct positive grid sizes, got {ms}")
+    for n in ns:
+        if len({m for m in ms if n <= 2 * m - 1}) < 2:
+            raise WrongCount(f"n = {n} needs two distinct grid sizes m with n <= 2m - 1, got {ms}")
     lam_n = dict(continuous_spectrum(pot, 2 * max(ms) - 1).odd)
 
     rows = []
@@ -244,7 +248,7 @@ def convergence_study(pot: BenchmarkPotential, ms, ns) -> ConvergenceStudy:
     slopes = {}
     for n in ns:
         sub = [(r[2], r[3]) for r in rows if r[0] == n]
-        slopes[n] = _loglog_slope([h for h, _ in sub], [e for _, e in sub]) if len(sub) >= 2 else None
+        slopes[n] = _loglog_slope([h for h, _ in sub], [e for _, e in sub])
     trapezoid_slope = _loglog_slope([r[1] for r in trapezoid_rows], [r[3] for r in trapezoid_rows])
     tail_slope = _loglog_slope([r[1] for r in tail_rows], [r[2] for r in tail_rows])
     return ConvergenceStudy(

@@ -135,6 +135,16 @@ def test_convergence_on_one_grid_exits_1(capsys):
     assert json.loads(captured.err.strip())["error"] == "WrongCount"
 
 
+def test_convergence_order_measured_on_one_grid_exits_1(capsys):
+    # n = 3 needs l = 2m - 1 >= 3, so only m = 5 measures it: no slope, not "exact"
+    assert main(["convergence", "--potential", "quadratic", "--ms", "1,5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "WrongCount"
+    assert "n = 3" in err["message"]
+
+
 def test_json_schema_keys(tmp_path):
     out = tmp_path / "fwd.json"
     run(RunConfig(command="forward", potential="zero", l=3, m=1, format="json", output=str(out)))

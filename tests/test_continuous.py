@@ -17,6 +17,7 @@ import frozenarg
 from frozenarg import (
     BenchmarkPotential,
     BracketFailure,
+    FrozenArgError,
     NoConvergence,
     QuadratureFailure,
     WrongCount,
@@ -258,6 +259,17 @@ def test_delta_at_zero_is_limit():
     near = delta_eval(pot, 1e-8)
     assert abs(lim - near) < 1e-6
     assert abs(lim - math.pi / 2 * r_eval(pot, 0.0)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "evaluate, arg",
+    [(r_eval, 1000j), (r_eval, -452j), (delta_eval, -1e6), (delta_eval, -5.2e4)],
+    ids=["r", "r_lower", "delta_r", "delta_product"],
+)
+def test_out_of_double_range_raises(evaluate, arg):
+    # R is about 1e682 at rho = 1000i; at lambda = -5.2e4, R is finite but Delta is not
+    with pytest.raises(FrozenArgError, match="leaves double range"):
+        evaluate(quadratic_potential(), arg)
 
 
 # ---------------------------------------------------------------------------

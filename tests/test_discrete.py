@@ -21,6 +21,7 @@ from frozenarg import (
     psi_poly,
     sample_problem,
 )
+from frozenarg import discrete
 
 
 def rand_w(rng, l):
@@ -277,17 +278,46 @@ def test_spectrum_iteration_cap():
 
 @pytest.mark.parametrize("l", [64, 256, 1024])
 def test_spectrum_matches_dense_oracle(l):
+    # within the 20 sweeps the docstring states
     rng = np.random.default_rng(l)
     h = math.pi / (l + 1)
     x = h * np.arange(1, l + 1)
     q = x * (math.pi - x)
     m = l // 3
-    got = discrete_spectrum(sample_problem(q, m)).mu
+    got = discrete_spectrum(sample_problem(q, m), max_iterations=20).mu
     assert match_error(got, dense_mu(h * h * q, m)) <= 1e-10
-    w = rng.uniform(0, 1, l) * np.exp(2j * math.pi * rng.uniform(0, 1, l))
-    m = l // 2
-    got = discrete_spectrum(DiscreteProblem.from_w(w, m)).mu
-    assert match_error(got, dense_mu(w, m)) <= 1e-10
+    cases = [(rng.uniform(0, 1, l) * np.exp(2j * math.pi * rng.uniform(0, 1, l)), l // 2)]
+    if l <= 256:
+        one_hot = np.zeros(l)
+        one_hot[l // 5] = 60.0
+        for w in (rng.uniform(-100, 100, l), one_hot, 1e-12 * rng.standard_normal(l)):
+            cases += [(w, 1), (w, l)]
+    for w, m in cases:
+        got = discrete_spectrum(DiscreteProblem.from_w(w, m), max_iterations=20).mu
+        assert match_error(got, dense_mu(w, m)) <= 1e-10, m
+
+
+@pytest.mark.parametrize("kind, per_root", [("complex", 5.6), ("real", 6.5)])
+def test_spectrum_evaluations_per_root(monkeypatch, kind, per_root):
+    # the closed-form start takes 5.0-5.3 l (complex w) and 5.7-6.1 l (real w); a start
+    # beside each pole takes 6.3-6.9 l, and one without the offset off the real axis 7.4-8.4 l for real w
+    aberth, points = discrete._aberth, []
+
+    def counted(z, ratio, max_iterations):
+        def counted_ratio(x):
+            points.append(len(x))
+            return ratio(x)
+
+        return aberth(z, counted_ratio, max_iterations)
+
+    monkeypatch.setattr(discrete, "_aberth", counted)
+    for l in (128, 256, 384):
+        for m in (l // 3, l // 2):
+            rng = np.random.default_rng(l)
+            w = rand_w(rng, l) if kind == "complex" else rng.uniform(-1, 1, l)
+            points.clear()
+            discrete_spectrum(DiscreteProblem.from_w(w, m))
+            assert sum(points) <= per_root * l, (l, m, sum(points) / l)
 
 
 def test_spectrum_degenerate_values_at_large_l():

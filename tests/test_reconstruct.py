@@ -256,7 +256,9 @@ def test_study_rejects_even_n():
         convergence_study(zero_potential(), ms=(4,), ns=(2,))
 
 
-@pytest.mark.parametrize("ms", [(5,), (5, 5), (), (0, 5)], ids=["one", "repeated", "none", "zero"])
+@pytest.mark.parametrize(
+    "ms", [(5,), (5, 5), (), (0, 5), (1, 5)], ids=["one", "repeated", "none", "zero", "n3_on_one_grid"]
+)
 def test_study_needs_two_distinct_grids(ms):
     # a slope through fewer than two points is a min-norm fit, not an order
     with pytest.raises(WrongCount, match="two distinct"):
