@@ -251,6 +251,11 @@ def psi_zeros(n: int) -> np.ndarray:
     return 2.0 * np.cos(np.pi * k / n)
 
 
+def _psi_sin(j: int, k, n: int) -> np.ndarray:
+    """sin(j theta_k) = psi_j(nu_k) sin(theta_k) at the zeros nu_k = 2 cos(theta_k), theta_k = pi k/n, of psi_n."""
+    return np.sin(np.pi * (j * k % (2 * n)) / n)  # j k reduced mod 2n: 0 or ~1e-16 where n divides j k
+
+
 def _dst1(g) -> np.ndarray:
     """DST-I sum_k g_k sin(jk pi/n), j = 1..n-1, with n = len(g) + 1.
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chebypoly import _BLOCK, _EPS, Poly, PsiSeries, _aberth, _dst1, psi_to_poly, psi_zeros
+from .chebypoly import _BLOCK, _EPS, Poly, PsiSeries, _aberth, _dst1, _psi_sin, psi_to_poly, psi_zeros
 from .errors import BadIndex, FrozenArgError, WrongCount
 
 
@@ -201,9 +201,7 @@ def _secular_weights(p: DiscreteProblem) -> tuple[np.ndarray, np.ndarray]:
     S w comes from one _dst1 of w.
     """
     n = p.l + 1
-    k = np.arange(1, n)
-    # m k reduced mod 2n: sin(pi m k / n) is then 0 or ~1e-16 when n divides m k
-    s_m = np.sin(np.pi * ((p.m * k) % (2 * n)) / n)
+    s_m = _psi_sin(p.m, np.arange(1, n), n)
     return psi_zeros(n), (2.0 / n) * s_m * _dst1(p.w)
 
 

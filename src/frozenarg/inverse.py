@@ -10,12 +10,11 @@ Three regimes:
 * l = 2m-1 (frozen point mid-interval): only w_m and the pair sums
   w_j + w_{l+1-j} are determined (:func:`solve_symmetric`).
 
-The nondegenerate and symmetric solvers read psi coordinates off the values
-of prod (nu - mu_n) at the closed-form zeros 2 cos(pi k / n) of psi_n, through
-one DST-I (:func:`_grid_coordinates`); the degenerate solver takes its node
-values on those zeros the same way, but still interpolates them in the
-monomial basis.  No numerical root-finding enters the inversion, so results
-are deterministic.
+The nondegenerate and symmetric solvers read the secular weights of the rank-one
+update T - w e_m^T off the spectrum at the zeros 2 cos(pi k/(l+1)) of psi_{l+1}, and one
+DST-I runs :func:`discrete._secular_weights` backwards (:func:`_read_w`).  The degenerate
+solver takes its node values on the zeros of psi_m, but still interpolates them in the
+monomial basis.  No numerical root-finding enters the inversion, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .chebypoly import (
     _BLOCK,
     Poly,
     _dst1,
+    _psi_sin,
     interpolate,
     poly_from_roots,
     poly_to_psi,
@@ -43,6 +43,14 @@ from .errors import (
 )
 
 _RUN = 64  # factors per partial product: 64 factors of modulus up to 2^15 stay in double range
+
+
+def _finite_array(values, what: str) -> np.ndarray:
+    """values as a 1-d complex array; WrongCount if an entry is inf or NaN."""
+    values = np.atleast_1d(np.asarray(values, dtype=complex))
+    if not np.isfinite(values).all():
+        raise WrongCount(f"{what} must be finite")
+    return values
 
 
 @dataclass(frozen=True)
@@ -61,7 +69,7 @@ class DegenerateData:
     def __post_init__(self):
         if self.side not in ("left", "right"):
             raise SideDataMismatch(f"side must be 'left' or 'right', got {self.side!r}")
-        kw = np.atleast_1d(np.asarray(self.known_w, dtype=complex)).copy()
+        kw = _finite_array(self.known_w, "known_w").copy()
         kw.setflags(write=False)
         object.__setattr__(self, "known_w", kw)
         expected = self.d - 1 if self.side == "left" else self.d
@@ -90,37 +98,46 @@ def _read_right(w: np.ndarray, ql1: Poly, l: int, m: int, wm: complex) -> None:
         w[l - j] = series.coeffs[j - 1]  # coordinate j is w_{l+1-j}
 
 
-def _grid_coordinates(mu: np.ndarray, n: int, j: int | None = None) -> np.ndarray:
-    """Psi coordinates c_1..c_{n-1} of prod (nu - mu_i), over psi_j(nu) if j is given, on the zeros of psi_n.
+def _w_from_weights(a: np.ndarray, m: int) -> np.ndarray:
+    """w = DST-I(a / s_m), undoing a = s_m (2/n) DST-I(w) of the forward map; n = len(a) + 1.
 
-    The values at the zeros nu_k = 2 cos(theta_k), theta_k = pi k/n, fix the
-    polynomial of span(psi_1..psi_{n-1}) that takes them, and its coordinates
-    are (2/n) DST-I(g(nu_k) sin(theta_k)).  psi_j(nu_k) = sin(j theta_k) /
-    sin(theta_k), with j k reduced mod 2n first; it must not vanish, i.e.
-    gcd(j, n) = 1.
+    Where n divides m k, s_m = 0 and the mode of w is one no spectrum sees: it enters as 0.
     """
+    n = len(a) + 1
     k = np.arange(1, n)
+    return _dst1(np.divide(a, _psi_sin(m, k, n), out=np.zeros(n - 1, dtype=complex), where=m * k % n != 0))
+
+
+def _read_w(mu: np.ndarray, l: int, m: int, d: int) -> np.ndarray:
+    """w from the spectrum mu of T - w e_m^T less the d-1 zeros of psi_d, read on the zeros of psi_{l+1}.
+
+    At nu_k = 2 cos(theta_k), theta_k = pi k/n, n = l+1, the weights are a_k = D(nu_k) / psi_n'(nu_k)
+    with D = prod (nu - mu_i) psi_d, psi_n'(nu_k) = -n (-1)^k / (2 sin^2 theta_k) and
+    psi_d(nu_k) = sin(d theta_k) / sin(theta_k); only those where s_m does not vanish are read.
+    """
+    n = l + 1
+    k = np.arange(1, n)
+    k = k[m * k % n != 0]
+    a = np.zeros(l, dtype=complex)
     theta = np.pi * k / n
-    g = _product_at(psi_zeros(n), mu)
-    if j is not None:
-        g = g * (np.sin(theta) / np.sin(np.pi * (j * k % (2 * n)) / n))
-    return (2.0 / n) * _dst1(g * np.sin(theta))
+    sign = np.where(k % 2 == 1, 2.0 / n, -2.0 / n)  # -(2/n) (-1)^k
+    a[k - 1] = sign * np.sin(theta) * _psi_sin(d, k, n) * _product_at(2.0 * np.cos(theta), mu)
+    return _w_from_weights(a, m)
 
 
 def solve_nondegenerate(mu, m: int, l: int | None = None) -> np.ndarray:
     """Recover all w_j from the full spectrum when gcd(m, l+1) = 1.
 
-    D = prod (mu - mu_n) = P_0 Q_{l+1} - P_{l+1} Q_0 with P_0 = psi_m and
-    P_{l+1} = -psi_{l-m+1}.  w_m = -sum mu_n, the trace of T - w e_m^T.  At
-    the zeros of psi_m, Q_0 = D / psi_{l-m+1}, and Q_0 + psi_{m-1} has psi
-    coordinates w_1..w_{m-1}.  At the zeros of psi_n, n = l-m+1,
-    Q_{l+1} = D / psi_m; there psi_n vanishes (w_m drops out) and
-    psi_{n+1} = -psi_{n-1}, so Q_{l+1} - psi_{n+1} = Q_{l+1} + psi_{n-1} has
-    coordinates w_l, .., w_{m+1}.  Each side is one :func:`_grid_coordinates`.
-    Against dense eigvals with random complex |w| <= 1, the relative error
-    is about 1e-12 at l = 64 and at most about 7e-9 at l = 1024.
+    T - w e_m^T is a rank-one update of T (Bunch, Nielsen and Sorensen 1978), so
+    D(nu) = prod (nu - mu_i) = psi_n(nu) (1 + sum_k a_k / (nu - nu_k)), n = l+1, with poles at the
+    zeros nu_k = 2 cos(pi k/n) of psi_n and weights a = s_m (2/n) DST-I(w), s_m = sin(m pi k/n)
+    (:func:`discrete._secular_weights`).  The residue at nu_k is a_k = D(nu_k) / psi_n'(nu_k),
+    gcd(m, n) = 1 keeps every s_m off 0, and DST-I twice is (n/2) I, so w = DST-I(a / s_m)
+    (:func:`_read_w`).  With random complex |w| <= 1 the relative error is 4e-13 to 4e-12 at
+    l = 64 and up to 8e-9 at l = 1024 (m near l/2) against dense eigvals, nearly all of it their
+    own rounding, and up to 9e-11 at l = 1024 on spectra from discrete_spectrum.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=complex))
+    mu = _finite_array(mu, "eigenvalues")
     if l is None:
         l = len(mu)
     if len(mu) != l:
@@ -131,16 +148,7 @@ def solve_nondegenerate(mu, m: int, l: int | None = None) -> np.ndarray:
         raise DegenerateConfiguration(
             f"gcd(m, l+1) = {math.gcd(m, l + 1)} > 1: use solve_degenerate"
         )
-    n = l - m + 1
-    w = np.empty(l, dtype=complex)
-    w[m - 1] = -mu.sum()
-    if m >= 2:
-        w[: m - 1] = _grid_coordinates(mu, m, n)
-        w[m - 2] += 1.0  # + psi_{m-1}
-    if n >= 2:
-        w[m:] = _grid_coordinates(mu, n, m)[::-1]
-        w[m] += 1.0  # coordinate n-1, w_{m+1}: + psi_{n-1}
-    return w
+    return _read_w(mu, l, m, 1)
 
 
 def degenerate_mu(l: int, m: int) -> np.ndarray:
@@ -154,7 +162,7 @@ def strip_degenerate(mu, l: int, m: int, tol: float = 1e-8) -> np.ndarray:
     For each closed-form value the closest entry is dropped; anything farther
     than tol away raises WrongCount (the spectrum cannot belong to (l, m)).
     """
-    mu = list(np.atleast_1d(np.asarray(mu, dtype=complex)))
+    mu = list(_finite_array(mu, "eigenvalues"))
     if len(mu) != l:
         raise WrongCount(f"expected {l} eigenvalues, got {len(mu)}")
     for target in degenerate_mu(l, m):
@@ -185,8 +193,8 @@ def _solve_degenerate_left(mu_reduced: np.ndarray, m: int, l: int, known_w: np.n
     k = k[k % (m // d) != 0]
     nus = psi_zeros(m)[k - 1]
 
-    def psi(j):  # psi_j(nu_k) = sin(j theta_k) / sin(theta_k), j k reduced mod 2m
-        return np.sin(np.pi * (j * k % (2 * m)) / m) / np.sin(np.pi * k / m)
+    def psi(j):  # psi_j(nu_k) = sin(j theta_k) / sin(theta_k)
+        return _psi_sin(j, k, m) / _psi_sin(1, k, m)
 
     # Q_0^bullet = Q_0 + psi_{m-1} - sum_{j=m-d+1}^{m-1} w_j psi_j = sum_{j<=m-d} w_j psi_j
     vals = _product_at(nus, mu_all) / psi(l - m + 1) + psi(m - 1)
@@ -219,7 +227,7 @@ def solve_degenerate(mu_reduced, m: int, l: int, data: DegenerateData) -> np.nda
         raise NotDegenerate(f"gcd(m, l+1) = 1 for (l, m) = ({l}, {m}): use solve_nondegenerate")
     if data.d != d:
         raise SideDataMismatch(f"data.d = {data.d} but gcd(m, l+1) = {d}")
-    mu_reduced = np.atleast_1d(np.asarray(mu_reduced, dtype=complex))
+    mu_reduced = _finite_array(mu_reduced, "eigenvalues")
     if len(mu_reduced) != l - d + 1:
         raise WrongCount(f"expected {l - d + 1} non-degenerate eigenvalues, got {len(mu_reduced)}")
     if data.side == "left":
@@ -237,8 +245,8 @@ def solve_degenerate(mu_reduced, m: int, l: int, data: DegenerateData) -> np.nda
 def _product_at(nu, mu) -> np.ndarray:
     """prod_n (nu_k - mu_n) for every k, without leaving double range on the way.
 
-    The value at the zeros of psi_{m+1} is of modest size, but its partial
-    products overflow from m of about 1280.  So the factors are multiplied in
+    The value at a zero of psi_{l+1} is of modest size, but its partial products
+    overflow, in solve_symmetric from m of about 1280.  So the factors are multiplied in
     runs of _RUN, each run's product is split by np.frexp of its modulus into
     a factor in [1/2, 1) and a power of two, and the two parts are combined
     separately.  Rows are built in blocks of at most _BLOCK entries.
@@ -259,24 +267,17 @@ def _product_at(nu, mu) -> np.ndarray:
 
 
 def solve_symmetric(mu_odd, m: int) -> tuple[complex, np.ndarray]:
-    """Mid-interval case l = 2m-1: recover w_m and the pair sums.
+    """Mid-interval case l = 2m-1: recover w_m and the pair sums s_j = w_j + w_{l+1-j}.
 
-    The non-degenerate eigenvalues satisfy
-    prod (mu - mu_n) = psi_{m+1} - psi_{m-1} + w_m psi_m + sum_j (w_j + w_{l+1-j}) psi_j,
-    so after removing the known leading combination the psi coordinates are
-    exactly (s_1, .., s_{m-1}, w_m) with s_j = w_j + w_{l+1-j}.
-
-    The product G is evaluated at the zeros nu_k = 2 cos(theta_k),
-    theta_k = pi k/(m+1), of psi_{m+1}, where its monic psi_{m+1} term
-    vanishes, so c_1..c_m = (2/(m+1)) DST-I(G(nu_k) sin(theta_k)).  The
-    free-problem output stays at zero to ~1e-13 up to m = 512 and to 2e-13
-    at m = 2048.
+    The read of :func:`solve_nondegenerate` on the zeros of psi_{2m}, where the spectrum is
+    mu_odd and the m-1 zeros of psi_m, which do not depend on w: D = prod (nu - mu_i) psi_m.
+    s_m vanishes at the even k, the antisymmetric modes of w that no spectrum sees, so the read
+    gives the symmetric part (w_j + w_{l+1-j}) / 2, whose middle entry is w_m.  With random
+    complex |w| <= 1 the error relative to the largest pair sum is 2e-12, 3e-11 and 4e-10 against
+    dense eigvals at m = 128, 512 and 2048, and 3e-14, 3e-13 and 2e-12 on discrete_spectrum's.
     """
-    mu_odd = np.atleast_1d(np.asarray(mu_odd, dtype=complex))
+    mu_odd = _finite_array(mu_odd, "eigenvalues")
     if len(mu_odd) != m:
         raise WrongCount(f"expected {m} eigenvalues, got {len(mu_odd)}")
-    z = _grid_coordinates(mu_odd, m + 1)  # coordinates c_1..c_m
-    if m >= 2:
-        z[m - 2] += 1.0  # + psi_{m-1}
-    wm = complex(z[m - 1])
-    return wm, z[: m - 1]
+    w = _read_w(mu_odd, 2 * m - 1, m, m)
+    return complex(w[m - 1]), 2.0 * w[: m - 1]

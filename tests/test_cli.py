@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +118,23 @@ def test_reproduce_tables_values(tmp_path):
             by_pot.setdefault(r["potential"], []).append(float(r["q_tilde"]))
     assert np.max(np.abs(np.array(by_pot["tent"]) - [0.3159, 0.6330, 0.9441, 1.2665, 1.5070])) <= 2e-3
     assert np.max(np.abs(np.array(by_pot["constant"]) - [1.1752, 0.8892, 1.0747, 0.9328, 1.0639])) <= 2e-3
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["reproduce-tables", "--m", "5"], "reproduce_tables_m5.txt"),
+        (["convergence", "--potential", "quadratic", "--ms", "5,10,20,40"], "convergence_quadratic_ms5-40.txt"),
+    ],
+)
+def test_cli_text_is_unchanged(argv, golden, capsys):
+    # stdout byte for byte: any change of a printed digit fails here, so the
+    # stored files change only on purpose
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_convergence_command(tmp_path):

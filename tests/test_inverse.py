@@ -22,6 +22,8 @@ from frozenarg import (
     solve_symmetric,
     strip_degenerate,
 )
+from frozenarg.discrete import _secular_weights
+from frozenarg.inverse import _w_from_weights
 
 
 def rand_w(rng, l):
@@ -97,7 +99,7 @@ def test_nondegenerate_against_dense_oracle(l, m):
 def test_nondegenerate_mid_interval_large_l():
     # m = 513 of l = 1024: against dense eigvals the error is about 7e-9,
     # nearly all of it eigvals' own rounding amplified; with the spectrum
-    # from discrete_spectrum it is 2e-10
+    # from discrete_spectrum it is 5e-11
     rng = np.random.default_rng(43)
     l, m = 1024, 513
     w = rand_w(rng, l)
@@ -109,6 +111,23 @@ def test_nondegenerate_free_problem_large_l(m):
     l = 1023
     mu = 2 * np.cos(np.pi * np.arange(1, l + 1) / (l + 1))
     assert np.abs(solve_nondegenerate(mu, m)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("l", [1, 2, 9, 64, 1023])
+def test_read_inverts_forward_weights(l):
+    # the secular weights a = s_m (2/n) DST-I(w) of the forward map, read
+    # back by w = DST-I(a / s_m) with no eigenvalue solver in between
+    rng = np.random.default_rng(70 + l)
+    w = rand_w(rng, l)
+    coprime = [m for m in range(1, l + 1) if math.gcd(m, l + 1) == 1]
+    for m in {1, l, *rng.choice(coprime, size=min(3, len(coprime)), replace=False).tolist()}:
+        got = _w_from_weights(_secular_weights(DiscreteProblem.from_w(w, m))[1], m)
+        assert np.max(np.abs(got - w)) <= 1e-13 * np.max(np.abs(w)), m
+    if l % 2 == 1:  # l = 2m-1: only the symmetric part comes back
+        m = (l + 1) // 2
+        got = _w_from_weights(_secular_weights(DiscreteProblem.from_w(w, m))[1], m)
+        assert np.max(np.abs(got - (w + w[::-1]) / 2)) <= 1e-13 * np.max(np.abs(w))
+        assert abs(got[m - 1] - w[m - 1]) <= 1e-13 * np.max(np.abs(w))
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +287,23 @@ def test_symmetric_random_roundtrip():
 def test_symmetric_wrong_count():
     with pytest.raises(WrongCount):
         solve_symmetric(np.zeros(4), 5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)], ids=["nan", "inf", "complex-nan"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: solve_nondegenerate([0.5, bad, -0.5, 1.0], 2),
+        lambda bad: solve_symmetric([0.5, bad, -0.5], 3),
+        lambda bad: solve_degenerate([0.5, bad, -0.5], 3, 5, DegenerateData(side="left", known_w=[0.0, 0.0], d=3)),
+        lambda bad: DegenerateData(side="left", known_w=[0.0, bad], d=3),
+        lambda bad: strip_degenerate([bad, 1.0, 1.0, -1.0, 0.5], 5, 3),
+    ],
+    ids=["nondegenerate", "symmetric", "degenerate", "known_w", "strip"],
+)
+def test_non_finite_input_raises(call, bad):
+    with pytest.raises(WrongCount):
+        call(bad)
 
 
 def test_nonuniqueness_witness():
