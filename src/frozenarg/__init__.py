@@ -2,10 +2,13 @@
 
 Layers:
 
-* :mod:`frozenarg.chebypoly` - the monic second-kind-Chebyshev basis engine
-  (conversions, products, the psi-grid DST-I, interpolation, root finding);
-* :mod:`frozenarg.discrete` - the finite-difference system, its characteristic
-  polynomial and spectrum;
+* :mod:`frozenarg.chebypoly` - the psi grid every pipeline runs on: the zeros
+  of the monic second-kind-Chebyshev basis psi_n, the DST-I on them, the
+  secular transform pair and the one Aberth iteration;
+* :mod:`frozenarg.monomial` - polynomials held by coefficients (monomial and
+  psi series: conversions, products, interpolation, root finding), the
+  characteristic polynomial and the monomial degenerate inverse;
+* :mod:`frozenarg.discrete` - the finite-difference system and its spectrum;
 * :mod:`frozenarg.inverse` - recovery of the coefficients from spectra
   (non-degenerate, degenerate, symmetric);
 * :mod:`frozenarg.continuous` - the continuous problem at a = pi/2 and the
@@ -15,19 +18,7 @@ Layers:
 * :mod:`frozenarg.cli` - the ``frozenarg`` command.
 """
 
-from .chebypoly import (
-    Poly,
-    PsiSeries,
-    interpolate,
-    poly_from_roots,
-    poly_roots,
-    poly_to_psi,
-    psi_eval,
-    psi_mul,
-    psi_poly,
-    psi_to_poly,
-    psi_zeros,
-)
+from .chebypoly import psi_zeros
 from .continuous import (
     BenchmarkPotential,
     ContinuousSpectrum,
@@ -43,14 +34,11 @@ from .continuous import (
     zero_potential,
 )
 from .discrete import (
-    BoundaryPolys,
     DiscreteProblem,
     Spectrum,
-    char_poly,
     d_eval,
     discrete_spectrum,
     free_lambdas,
-    pq_polynomials,
     sample_problem,
 )
 from .errors import (
@@ -75,6 +63,21 @@ from .inverse import (
     solve_nondegenerate,
     solve_symmetric,
     strip_degenerate,
+)
+from .monomial import (
+    BoundaryPolys,
+    Poly,
+    PsiSeries,
+    char_poly,
+    interpolate,
+    poly_from_roots,
+    poly_roots,
+    poly_to_psi,
+    pq_polynomials,
+    psi_eval,
+    psi_mul,
+    psi_poly,
+    psi_to_poly,
 )
 from .reconstruct import (
     ConvergenceStudy,

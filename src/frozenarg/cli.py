@@ -309,22 +309,37 @@ def _parse_int_list(text: str) -> list:
         raise ConfigError(f"cannot parse integer list {text!r}: {exc}") from None
 
 
+_FLAGS = {  # the flags each command reads, besides --output and --format
+    "forward": ("potential", "l", "m"),
+    "inverse": ("l", "m", "mu"),
+    "inverse-degenerate": ("l", "m", "mu", "known-w", "side"),
+    "spectrum-continuous": ("potential", "n-max"),
+    "reconstruct": ("potential", "m"),
+    "reproduce-tables": ("m",),
+    "convergence": ("potential", "ms"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frozenarg",
         description="Spectral toolkit for the frozen-argument Sturm-Liouville problem",
     )
+    flags = {
+        "potential": dict(help="quadratic|tent|constant|zero or a (x,q) CSV path"),
+        "l": dict(type=int, help="grid size"),
+        "m": dict(type=int, help="frozen index (x_m = a)"),
+        "n-max": dict(type=int, dest="n_max", help="largest eigenvalue index"),
+        "ms": dict(help="comma-separated grid sizes m for the convergence study"),
+        "mu": dict(dest="mu_path", help="CSV file of eigenvalues in the mu plane"),
+        "known-w": dict(dest="known_w", help="comma-separated a-priori w values"),
+        "side": dict(choices=("left", "right"), help="which side the known w's sit on"),
+    }
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _RUNNERS:
         p = sub.add_parser(name)
-        p.add_argument("--potential", help="quadratic|tent|constant|zero or a (x,q) CSV path")
-        p.add_argument("--l", type=int, help="grid size")
-        p.add_argument("--m", type=int, help="frozen index (x_m = a)")
-        p.add_argument("--n-max", type=int, dest="n_max", help="largest eigenvalue index")
-        p.add_argument("--ms", help="comma-separated grid sizes m for the convergence study")
-        p.add_argument("--mu", dest="mu_path", help="CSV file of eigenvalues in the mu plane")
-        p.add_argument("--known-w", dest="known_w", help="comma-separated a-priori w values")
-        p.add_argument("--side", choices=("left", "right"), help="which side the known w's sit on")
+        for flag in _FLAGS[name]:
+            p.add_argument("--" + flag, **flags[flag])
         p.add_argument("--output", help="write rendered table to this path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
@@ -335,20 +350,10 @@ def config_from_args(argv=None) -> RunConfig:
     if "--known-w" in argv[:-1]:  # attach the value, which may start with a minus sign
         i = argv.index("--known-w")
         argv[i : i + 2] = ["--known-w=" + argv[i + 1]]
-    args = build_parser().parse_args(argv)
-    return RunConfig(
-        command=args.command,
-        potential=args.potential,
-        l=args.l,
-        m=args.m,
-        n_max=args.n_max,
-        ms=_parse_int_list(args.ms) if args.ms else [],
-        mu_path=args.mu_path,
-        known_w=_parse_complex_list(args.known_w) if args.known_w else [],
-        side=args.side,
-        output=args.output,
-        format=args.format,
-    )
+    args = vars(build_parser().parse_args(argv))
+    for key, parse in (("ms", _parse_int_list), ("known_w", _parse_complex_list)):
+        args[key] = parse(args[key]) if args.get(key) else []
+    return RunConfig(**args)
 
 
 def main(argv=None) -> int:

@@ -21,23 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .chebypoly import _BLOCK, _EPS, Poly, PsiSeries, _aberth, _dst1, _psi_sin, psi_to_poly, psi_zeros
+from .chebypoly import _BLOCK, _EPS, _aberth, _secular_weights
 from .errors import BadIndex, FrozenArgError, WrongCount
 
 
 @dataclass(frozen=True)
 class DiscreteProblem:
-    """Grid size l, frozen index m, step h = pi/(l+1), and coefficients w_j = h^2 q_j."""
+    """Grid size l, frozen index m and coefficients w_j = h^2 q_j, with step h = pi/(l+1)."""
 
     l: int
     m: int
-    h: float
     w: np.ndarray
-    q: np.ndarray | None = None
 
     def __post_init__(self):
         if self.l < 1:
@@ -49,19 +46,18 @@ class DiscreteProblem:
             raise WrongCount(f"expected {self.l} coefficients, got {len(w)}")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-        if self.q is not None:
-            q = np.atleast_1d(np.asarray(self.q, dtype=complex)).copy()
-            q.setflags(write=False)
-            object.__setattr__(self, "q", q)
-        if not np.isfinite(w).all() or (self.q is not None and not np.isfinite(self.q).all()):
+        if not np.isfinite(w).all():
             raise WrongCount("coefficients must be finite")
 
     @staticmethod
     def from_w(w, m: int) -> "DiscreteProblem":
         """Build directly from the scaled coefficients w_j."""
         w = np.atleast_1d(np.asarray(w, dtype=complex))
-        l = len(w)
-        return DiscreteProblem(l=l, m=m, h=math.pi / (l + 1), w=w)
+        return DiscreteProblem(l=len(w), m=m, w=w)
+
+    @property
+    def h(self) -> float:
+        return math.pi / (self.l + 1)
 
     @property
     def x(self) -> np.ndarray:
@@ -105,42 +101,7 @@ def sample_problem(q_values, m: int) -> DiscreteProblem:
     if not np.isfinite(q).all():  # before h^2 q, where inf + 0j turns into nan
         raise WrongCount("coefficients must be finite")
     h = math.pi / (l + 1)
-    return DiscreteProblem(l=l, m=m, h=h, w=h * h * q, q=q)
-
-
-class BoundaryPolys(NamedTuple):
-    """The P and Q solution families at the boundary indices 0 and l+1."""
-
-    p0: PsiSeries
-    pl1: PsiSeries
-    q0: PsiSeries
-    ql1: PsiSeries
-
-
-def _unit(j: int, n: int) -> np.ndarray:
-    v = np.zeros(max(n, 1), dtype=complex)
-    if j >= 1:
-        v[j - 1] = 1.0
-    return v
-
-
-def pq_polynomials(p: DiscreteProblem) -> BoundaryPolys:
-    """Closed psi-basis forms of P_0, P_{l+1}, Q_0, Q_{l+1}.
-
-    P_0 = psi_m and P_{l+1} = -psi_{l-m+1} carry no potential dependence;
-    Q_0 = -psi_{m-1} + sum_{j<m} w_j psi_j and
-    Q_{l+1} = psi_{l-m+2} + sum_{j<=l-m+1} w_{l+1-j} psi_j.
-    """
-    l, m, w = p.l, p.m, p.w
-    p0 = PsiSeries(_unit(m, m))
-    pl1 = PsiSeries(-_unit(l - m + 1, l - m + 1))
-    q0c = -_unit(m - 1, m - 1)
-    for j in range(1, m):
-        q0c[j - 1] += w[j - 1]
-    ql1c = _unit(l - m + 2, l - m + 2)
-    for j in range(1, l - m + 2):
-        ql1c[j - 1] += w[l - j]  # w_{l+1-j}
-    return BoundaryPolys(p0=p0, pl1=pl1, q0=PsiSeries(q0c), ql1=PsiSeries(ql1c))
+    return DiscreteProblem(l=l, m=m, w=h * h * q)
 
 
 def d_eval(p: DiscreteProblem, mu):
@@ -167,42 +128,6 @@ def d_eval(p: DiscreteProblem, mu):
     if not np.isfinite(d[np.isfinite(z)]).all():
         raise FrozenArgError(f"D(mu) overflows double range at l = {l} (|D| grows like r^l, r > 1 off [-2, 2])")
     return d if np.ndim(mu) else complex(d[0])
-
-
-def char_poly(p: DiscreteProblem) -> Poly:
-    """D(mu) as a monic degree-l Poly, assembled symbolically in the psi basis.
-
-    D = psi_m * Q_{l+1} + psi_{l-m+1} * Q_0, expanded term by term with the
-    unit-coefficient product rule of psi_mul, then converted to monomials.
-    """
-    l, m = p.l, p.m
-    polys = pq_polynomials(p)
-    acc = np.zeros(l + 1, dtype=complex)
-
-    def add_product(a: int, series: PsiSeries):
-        if a < 1:
-            return
-        for j in range(1, series.n + 1):
-            c = series.coeffs[j - 1]
-            if c == 0:
-                continue
-            for k in range(min(a, j)):
-                acc[a + j - 2 - 2 * k] += c
-
-    add_product(m, polys.ql1)
-    add_product(l - m + 1, polys.q0)
-    return psi_to_poly(PsiSeries(acc))
-
-
-def _secular_weights(p: DiscreteProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Poles nu_k and weights a_k = s_mk (S w)_k of the secular function.
-
-    S is the orthonormal DST-I matrix, s_jk = sqrt(2/(l+1)) sin(jk pi/(l+1));
-    S w comes from one _dst1 of w.
-    """
-    n = p.l + 1
-    s_m = _psi_sin(p.m, np.arange(1, n), n)
-    return psi_zeros(n), (2.0 / n) * s_m * _dst1(p.w)
 
 
 def discrete_spectrum(p: DiscreteProblem, max_iterations: int = 500) -> Spectrum:
@@ -234,7 +159,7 @@ def discrete_spectrum(p: DiscreteProblem, max_iterations: int = 500) -> Spectrum
     every m, in at most 20 sweeps.  Raises NoConvergence on a non-finite step
     or at the iteration cap.
     """
-    nu, a = _secular_weights(p)
+    nu, a = _secular_weights(p.w, p.m)
     live = ~(np.abs(a) <= 4.0 * _EPS * (1.0 + np.abs(a).sum()))  # a NaN weight stays live and fails
     mu = nu.astype(complex)
     nu, a = nu[live], a[live]

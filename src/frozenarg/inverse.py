@@ -12,9 +12,10 @@ Three regimes:
 
 The nondegenerate and symmetric solvers read the secular weights of the rank-one
 update T - w e_m^T off the spectrum at the zeros 2 cos(pi k/(l+1)) of psi_{l+1}, and one
-DST-I runs :func:`discrete._secular_weights` backwards (:func:`_read_w`).  The degenerate
-solver takes its node values on the zeros of psi_m, but still interpolates them in the
-monomial basis.  No numerical root-finding enters the inversion, so results are deterministic.
+DST-I runs :func:`chebypoly._secular_weights` backwards (:func:`chebypoly._read_w`).  The
+degenerate solver takes its node values on the zeros of psi_m, but still interpolates them in
+the monomial basis (:func:`monomial._solve_degenerate_left`).  No numerical root-finding enters
+the inversion, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -24,25 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebypoly import (
-    _BLOCK,
-    Poly,
-    _dst1,
-    _psi_sin,
-    interpolate,
-    poly_from_roots,
-    poly_to_psi,
-    psi_poly,
-    psi_zeros,
-)
+from .chebypoly import _read_w, psi_zeros
 from .errors import (
     DegenerateConfiguration,
     NotDegenerate,
     SideDataMismatch,
     WrongCount,
 )
-
-_RUN = 64  # factors per partial product: 64 factors of modulus up to 2^15 stay in double range
+from .monomial import _solve_degenerate_left
 
 
 def _finite_array(values, what: str) -> np.ndarray:
@@ -80,60 +70,15 @@ class DegenerateData:
             )
 
 
-def _read_left(w: np.ndarray, q0: Poly, m: int) -> None:
-    """Fill w_1..w_{m-1} from the coordinates of Q_0 + psi_{m-1}."""
-    if m < 2:
-        return
-    series = poly_to_psi(q0 + psi_poly(m - 1), n=m - 1)
-    w[: m - 1] = series.coeffs
-
-
-def _read_right(w: np.ndarray, ql1: Poly, l: int, m: int, wm: complex) -> None:
-    """Fill w_{m+1}..w_l from the coordinates of Q_{l+1} - psi_{l-m+2} - w_m psi_{l-m+1}."""
-    if m > l - 1:
-        return
-    rest = ql1 - psi_poly(l - m + 2) - psi_poly(l - m + 1).scale(wm)
-    series = poly_to_psi(rest, n=l - m)
-    for j in range(1, l - m + 1):
-        w[l - j] = series.coeffs[j - 1]  # coordinate j is w_{l+1-j}
-
-
-def _w_from_weights(a: np.ndarray, m: int) -> np.ndarray:
-    """w = DST-I(a / s_m), undoing a = s_m (2/n) DST-I(w) of the forward map; n = len(a) + 1.
-
-    Where n divides m k, s_m = 0 and the mode of w is one no spectrum sees: it enters as 0.
-    """
-    n = len(a) + 1
-    k = np.arange(1, n)
-    return _dst1(np.divide(a, _psi_sin(m, k, n), out=np.zeros(n - 1, dtype=complex), where=m * k % n != 0))
-
-
-def _read_w(mu: np.ndarray, l: int, m: int, d: int) -> np.ndarray:
-    """w from the spectrum mu of T - w e_m^T less the d-1 zeros of psi_d, read on the zeros of psi_{l+1}.
-
-    At nu_k = 2 cos(theta_k), theta_k = pi k/n, n = l+1, the weights are a_k = D(nu_k) / psi_n'(nu_k)
-    with D = prod (nu - mu_i) psi_d, psi_n'(nu_k) = -n (-1)^k / (2 sin^2 theta_k) and
-    psi_d(nu_k) = sin(d theta_k) / sin(theta_k); only those where s_m does not vanish are read.
-    """
-    n = l + 1
-    k = np.arange(1, n)
-    k = k[m * k % n != 0]
-    a = np.zeros(l, dtype=complex)
-    theta = np.pi * k / n
-    sign = np.where(k % 2 == 1, 2.0 / n, -2.0 / n)  # -(2/n) (-1)^k
-    a[k - 1] = sign * np.sin(theta) * _psi_sin(d, k, n) * _product_at(2.0 * np.cos(theta), mu)
-    return _w_from_weights(a, m)
-
-
 def solve_nondegenerate(mu, m: int, l: int | None = None) -> np.ndarray:
     """Recover all w_j from the full spectrum when gcd(m, l+1) = 1.
 
     T - w e_m^T is a rank-one update of T (Bunch, Nielsen and Sorensen 1978), so
     D(nu) = prod (nu - mu_i) = psi_n(nu) (1 + sum_k a_k / (nu - nu_k)), n = l+1, with poles at the
     zeros nu_k = 2 cos(pi k/n) of psi_n and weights a = s_m (2/n) DST-I(w), s_m = sin(m pi k/n)
-    (:func:`discrete._secular_weights`).  The residue at nu_k is a_k = D(nu_k) / psi_n'(nu_k),
+    (:func:`chebypoly._secular_weights`).  The residue at nu_k is a_k = D(nu_k) / psi_n'(nu_k),
     gcd(m, n) = 1 keeps every s_m off 0, and DST-I twice is (n/2) I, so w = DST-I(a / s_m)
-    (:func:`_read_w`).  With random complex |w| <= 1 the relative error is 4e-13 to 4e-12 at
+    (:func:`chebypoly._read_w`).  With random complex |w| <= 1 the relative error is 4e-13 to 4e-12 at
     l = 64 and up to 8e-9 at l = 1024 (m near l/2) against dense eigvals, nearly all of it their
     own rounding, and up to 9e-11 at l = 1024 on spectra from discrete_spectrum.
     """
@@ -175,50 +120,10 @@ def strip_degenerate(mu, l: int, m: int, tol: float = 1e-8) -> np.ndarray:
     return np.asarray(mu, dtype=complex)
 
 
-def _solve_degenerate_left(mu_reduced: np.ndarray, m: int, l: int, known_w: np.ndarray) -> np.ndarray:
-    d = math.gcd(m, l + 1)
-    # re-synthesize the degenerate eigenvalues from closed form; the input
-    # never contains them, so perturbing them upstream cannot leak in here
-    mu_all = np.concatenate([mu_reduced, degenerate_mu(l, m).astype(complex)])
-    d_poly = poly_from_roots(mu_all)
-    wm = d_poly.coeff(l - 1)  # -sum mu_all: the trace of T - w e_m^T is -w_m
-    w = np.zeros(l, dtype=complex)
-    w[m - 1] = wm
-    for i, kw in enumerate(known_w):
-        w[m - d + i] = kw  # w_{m-d+1}..w_{m-1}
-
-    # zeros nu_k = 2 cos(theta_k), theta_k = pi k/m, of phi_{m-d} = psi_m / psi_d:
-    # drop every (m/d)-th zero of psi_m, where psi_{l-m+1} vanishes too
-    k = np.arange(1, m)
-    k = k[k % (m // d) != 0]
-    nus = psi_zeros(m)[k - 1]
-
-    def psi(j):  # psi_j(nu_k) = sin(j theta_k) / sin(theta_k)
-        return _psi_sin(j, k, m) / _psi_sin(1, k, m)
-
-    # Q_0^bullet = Q_0 + psi_{m-1} - sum_{j=m-d+1}^{m-1} w_j psi_j = sum_{j<=m-d} w_j psi_j
-    vals = _product_at(nus, mu_all) / psi(l - m + 1) + psi(m - 1)
-    for j in range(m - d + 1, m):
-        vals -= w[j - 1] * psi(j)
-    q0_bullet = interpolate(nus, vals)
-
-    q0 = q0_bullet - psi_poly(m - 1)
-    for j in range(m - d + 1, m):
-        q0 = q0 + psi_poly(j).scale(w[j - 1])
-
-    # Q_{l+1} = (D + P_{l+1} Q_0) / P_0, an exact division by psi_m
-    numerator = d_poly + (-psi_poly(l - m + 1)) * q0
-    ql1 = numerator.divide_exact(psi_poly(m))
-
-    _read_left(w, q0, m)
-    _read_right(w, ql1, l, m, wm)
-    return w
-
-
 def solve_degenerate(mu_reduced, m: int, l: int, data: DegenerateData) -> np.ndarray:
     """Recover w from the reduced spectrum plus one-sided a-priori data.
 
-    side="left" runs the direct algorithm; side="right" reflects the grid by
+    side="left" runs :func:`monomial._solve_degenerate_left`; side="right" reflects the grid by
     j -> l+1-j (an exact spectral equivalence that moves the frozen index to
     l+1-m), runs the left algorithm, and reflects back.
     """
@@ -242,30 +147,6 @@ def solve_degenerate(mu_reduced, m: int, l: int, data: DegenerateData) -> np.nda
     return w_ref[::-1].copy()
 
 
-def _product_at(nu, mu) -> np.ndarray:
-    """prod_n (nu_k - mu_n) for every k, without leaving double range on the way.
-
-    The value at a zero of psi_{l+1} is of modest size, but its partial products
-    overflow, in solve_symmetric from m of about 1280.  So the factors are multiplied in
-    runs of _RUN, each run's product is split by np.frexp of its modulus into
-    a factor in [1/2, 1) and a power of two, and the two parts are combined
-    separately.  Rows are built in blocks of at most _BLOCK entries.
-
-    The rescaling is by powers of two, so up to _RUN factors (one run) the
-    result has the same bits as the plain product.
-    """
-    starts = np.arange(0, mu.size, _RUN)
-    g = np.empty(nu.size, dtype=complex)
-    rows = max(1, _BLOCK // mu.size)
-    for lo in range(0, nu.size, rows):
-        runs = np.multiply.reduceat(nu[lo : lo + rows, None] - mu, starts, axis=1)
-        _, e = np.frexp(np.abs(runs))
-        scaled = np.prod(np.ldexp(runs.real, -e) + 1j * np.ldexp(runs.imag, -e), axis=1)
-        e = e.sum(axis=1)
-        g[lo : lo + rows] = np.ldexp(scaled.real, e) + 1j * np.ldexp(scaled.imag, e)
-    return g
-
-
 def solve_symmetric(mu_odd, m: int) -> tuple[complex, np.ndarray]:
     """Mid-interval case l = 2m-1: recover w_m and the pair sums s_j = w_j + w_{l+1-j}.
 
@@ -277,6 +158,8 @@ def solve_symmetric(mu_odd, m: int) -> tuple[complex, np.ndarray]:
     dense eigvals at m = 128, 512 and 2048, and 3e-14, 3e-13 and 2e-12 on discrete_spectrum's.
     """
     mu_odd = _finite_array(mu_odd, "eigenvalues")
+    if m < 1:
+        raise WrongCount(f"frozen index m={m} must be >= 1")
     if len(mu_odd) != m:
         raise WrongCount(f"expected {m} eigenvalues, got {len(mu_odd)}")
     w = _read_w(mu_odd, 2 * m - 1, m, m)

@@ -1,10 +1,13 @@
-"""Tests for the psi-basis polynomial engine."""
+"""Tests for the psi grid (frozenarg.chebypoly) and the monomial engine (frozenarg.monomial)."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frozenarg
 from frozenarg import (
     DegreeMismatch,
     DuplicateNode,
@@ -384,3 +387,33 @@ def test_divide_exact_rejects_remainder():
 
     with pytest.raises(InexactDivision):
         Poly([1.0, 0, 1]).divide_exact(Poly([3.0, 1.0]))
+
+
+MONOMIAL_NAMES = {"Poly", "PsiSeries", "interpolate", "poly_from_roots", "poly_to_psi", "psi_to_poly",
+                  "psi_poly", "psi_mul", "poly_roots"}
+
+
+def test_monomial_form_lives_in_one_module():
+    # the pipelines run on the psi grid alone; only frozenarg.monomial holds
+    # coefficient arrays, and only __init__ and the degenerate solver import it
+    from_monomial = {}
+    for path in sorted(Path(frozenarg.__file__).parent.glob("*.py")):
+        if path.name == "monomial.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in MONOMIAL_NAMES, (path.name, node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assert node.id not in MONOMIAL_NAMES, (path.name, node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name for alias in node.names}
+                if (getattr(node, "module", None) or "").endswith("monomial") or any(
+                    name.endswith("monomial") for name in names
+                ):
+                    from_monomial.setdefault(path.name, set()).update(names)
+                else:
+                    assert not names & MONOMIAL_NAMES, (path.name, names & MONOMIAL_NAMES)
+    assert set(from_monomial) == {"__init__.py", "inverse.py"}
+    assert from_monomial["inverse.py"] == {"_solve_degenerate_left"}
+    assert MONOMIAL_NAMES <= from_monomial["__init__.py"]
+    assert not any(name.startswith("_") for name in from_monomial["__init__.py"])

@@ -267,3 +267,19 @@ def test_forward_large_l_rows_finite(tmp_path):
 def test_bad_known_w_list():
     assert main(["inverse-degenerate", "--l", "5", "--m", "3", "--mu", "x", "--side", "left",
                  "--known-w", "0.1,oops"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce-tables", "--potential", "tent", "--m", "5"],
+    ["reproduce-tables", "--m", "5", "--ms", "3"],
+    ["reproduce-tables", "--m", "5", "--known-w", "1"],
+    ["forward", "--potential", "zero", "--l", "4", "--m", "2", "--n-max", "3"],
+    ["inverse", "--l", "4", "--m", "2", "--mu", "mu.csv", "--side", "left"],
+    ["spectrum-continuous", "--potential", "zero", "--n-max", "3", "--m", "2"],
+    ["convergence", "--potential", "zero", "--ms", "5,10", "--l", "9"],
+])
+def test_flag_the_command_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -78,6 +78,16 @@ def test_sample_problem_zero_potential():
     assert abs(p.h * (p.l + 1) - math.pi) < 1e-15
 
 
+def test_problem_step_follows_from_l():
+    # h follows from l: a caller-set h would rescale lambda with no error
+    for extra in ({"h": 1.0}, {"q": [1.0] * 9}):
+        with pytest.raises(TypeError):
+            DiscreteProblem(l=9, m=5, w=[0.1] * 9, **extra)
+    p = DiscreteProblem(l=9, m=5, w=[0.1] * 9)
+    assert p.h == math.pi / 10
+    assert abs(discrete_spectrum(p).lam[0] - 2.3493) < 1e-4
+
+
 def test_sample_problem_quadratic_grid_value():
     h = math.pi / 10
     xs = h * np.arange(1, 10)

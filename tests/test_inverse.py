@@ -22,8 +22,7 @@ from frozenarg import (
     solve_symmetric,
     strip_degenerate,
 )
-from frozenarg.discrete import _secular_weights
-from frozenarg.inverse import _w_from_weights
+from frozenarg.chebypoly import _secular_weights, _w_from_weights
 
 
 def rand_w(rng, l):
@@ -121,11 +120,11 @@ def test_read_inverts_forward_weights(l):
     w = rand_w(rng, l)
     coprime = [m for m in range(1, l + 1) if math.gcd(m, l + 1) == 1]
     for m in {1, l, *rng.choice(coprime, size=min(3, len(coprime)), replace=False).tolist()}:
-        got = _w_from_weights(_secular_weights(DiscreteProblem.from_w(w, m))[1], m)
+        got = _w_from_weights(_secular_weights(w, m)[1], m)
         assert np.max(np.abs(got - w)) <= 1e-13 * np.max(np.abs(w)), m
     if l % 2 == 1:  # l = 2m-1: only the symmetric part comes back
         m = (l + 1) // 2
-        got = _w_from_weights(_secular_weights(DiscreteProblem.from_w(w, m))[1], m)
+        got = _w_from_weights(_secular_weights(w, m)[1], m)
         assert np.max(np.abs(got - (w + w[::-1]) / 2)) <= 1e-13 * np.max(np.abs(w))
         assert abs(got[m - 1] - w[m - 1]) <= 1e-13 * np.max(np.abs(w))
 
@@ -287,6 +286,8 @@ def test_symmetric_random_roundtrip():
 def test_symmetric_wrong_count():
     with pytest.raises(WrongCount):
         solve_symmetric(np.zeros(4), 5)
+    with pytest.raises(WrongCount, match="m=0"):
+        solve_symmetric([], 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)], ids=["nan", "inf", "complex-nan"])
