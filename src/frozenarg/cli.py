@@ -72,14 +72,6 @@ def _load_mu(path: str) -> np.ndarray:
     raise ConfigError(f"spectrum file {path} must have 1 or 2 columns")
 
 
-def _require(config: RunConfig, *names):
-    for name in names:
-        value = getattr(config, name.replace("-", "_"))
-        missing = value is None or (isinstance(value, list) and not value)
-        if missing:
-            raise ConfigError(f"command {config.command!r} requires --{name.replace('_', '-')}")
-
-
 def _c(z) -> dict:
     z = complex(z)
     return {"re": z.real, "im": z.imag}
@@ -90,7 +82,6 @@ def _c(z) -> dict:
 # ---------------------------------------------------------------------------
 
 def _run_forward(config: RunConfig):
-    _require(config, "potential", "l", "m")
     pot = _load_potential(config.potential)
     xs = (math.pi / (config.l + 1)) * np.arange(1, config.l + 1)
     spec = discrete_spectrum(sample_problem(pot.q(xs), config.m))
@@ -112,14 +103,12 @@ def _w_rows(w, l: int):
 
 
 def _run_inverse(config: RunConfig):
-    _require(config, "l", "m", "mu_path")
     mu = _load_mu(config.mu_path)
     w = inverse.solve_nondegenerate(mu, config.m, l=config.l)
     return _w_rows(w, config.l), {}, None
 
 
 def _run_inverse_degenerate(config: RunConfig):
-    _require(config, "l", "m", "mu_path", "side", "known_w")
     d = math.gcd(config.m, config.l + 1)
     data = inverse.DegenerateData(side=config.side, known_w=config.known_w, d=d)
     mu = _load_mu(config.mu_path)
@@ -129,7 +118,6 @@ def _run_inverse_degenerate(config: RunConfig):
 
 
 def _run_spectrum_continuous(config: RunConfig):
-    _require(config, "potential", "n_max")
     pot = _load_potential(config.potential)
     spec = continuous.continuous_spectrum(pot, config.n_max)
     rows = [{"n": n, "lambda": lam, "degenerate": False} for n, lam in spec.odd]
@@ -156,7 +144,6 @@ def _reconstruct_rows(pot, m: int, potential_name: str):
 
 
 def _run_reconstruct(config: RunConfig):
-    _require(config, "potential", "m")
     pot = _load_potential(config.potential)
     rows, report = _reconstruct_rows(pot, config.m, config.potential)
     return rows, {}, report.format_text()
@@ -175,7 +162,6 @@ def _run_reproduce_tables(config: RunConfig):
 
 
 def _run_convergence(config: RunConfig):
-    _require(config, "potential", "ms")
     pot = _load_potential(config.potential)
     study = convergence_study(pot, config.ms, ns=(1, 3))
     rows = []
@@ -253,14 +239,17 @@ def run(config: RunConfig) -> int:
     """Execute one configuration.  Returns the process exit status.
 
     Output is rendered fully in memory and written in one step, so a failing
-    run never leaves a partial output file; errors go to stderr as one-line
-    JSON objects.
+    run never leaves a partial output file; errors go to stderr through
+    :func:`_report`.
     """
     try:
         if config.command not in _RUNNERS:
             raise ConfigError(f"unknown command {config.command!r}")
         if config.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {config.format!r}")
+        for flag in _FLAGS[config.command]:
+            if not flag.startswith("[") and getattr(config, _dest(flag)) in (None, []):
+                raise ConfigError(f"command {config.command!r} requires --{flag}")
         rows, diagnostics, text = _RUNNERS[config.command](config)
         _require_finite(rows)
         rendered = (
@@ -276,15 +265,15 @@ def run(config: RunConfig) -> int:
         else:
             print(text if text else rendered, end="" if not text else "\n")
         return 0
-    except ConfigError as exc:
-        print(json.dumps({"error": "ConfigError", "message": str(exc)}), file=sys.stderr)
-        return 2
-    except FrozenArgError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
-        return 1
+    except (FrozenArgError, OSError) as exc:
+        return _report(exc)
+
+
+def _report(exc: Exception) -> int:
+    """Write exc to stderr as a one-line JSON error object; exit status 2 for ConfigError, else 1."""
+    name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+    print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
+    return 2 if isinstance(exc, ConfigError) else 1
 
 
 def _require_finite(rows):
@@ -295,51 +284,61 @@ def _require_finite(rows):
                 raise FrozenArgError(f"row {i} has a non-finite {key} ({value}); nothing was written")
 
 
-def _parse_complex_list(text: str) -> list:
-    try:
-        return [complex(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse complex list {text!r}: {exc}") from None
+def _comma_list(parse):
+    """argparse type: a comma-separated list of parse(token)."""
+    def comma_list(text: str) -> list:
+        try:
+            return [parse(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"cannot parse {text!r}: {exc}") from None
+    return comma_list
 
 
-def _parse_int_list(text: str) -> list:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse integer list {text!r}: {exc}") from None
+_SPECS = {  # argparse spec of every command flag; dest defaults to the name with "_" for "-"
+    "potential": dict(help="quadratic|tent|constant|zero or a (x,q) CSV path"),
+    "l": dict(type=int, help="grid size"),
+    "m": dict(type=int, help="frozen index (x_m = a)"),
+    "n-max": dict(type=int, help="largest eigenvalue index"),
+    "ms": dict(type=_comma_list(int), help="comma-separated grid sizes m for the convergence study"),
+    "mu": dict(dest="mu_path", help="CSV file of eigenvalues in the mu plane"),
+    "known-w": dict(type=_comma_list(complex), help="comma-separated a-priori w values"),
+    "side": dict(choices=("left", "right"), help="which side the known w's sit on"),
+}
 
-
-_FLAGS = {  # the flags each command reads, besides --output and --format
+_FLAGS = {  # the flags each command reads, besides --output and --format; [bracketed] ones are optional
     "forward": ("potential", "l", "m"),
     "inverse": ("l", "m", "mu"),
     "inverse-degenerate": ("l", "m", "mu", "known-w", "side"),
     "spectrum-continuous": ("potential", "n-max"),
     "reconstruct": ("potential", "m"),
-    "reproduce-tables": ("m",),
+    "reproduce-tables": ("[m]",),
     "convergence": ("potential", "ms"),
 }
 
 
+def _dest(flag: str) -> str:
+    """The RunConfig field that --flag fills."""
+    return _SPECS[flag].get("dest", flag.replace("-", "_"))
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors raise ConfigError instead of exiting; subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frozenarg",
         description="Spectral toolkit for the frozen-argument Sturm-Liouville problem",
     )
-    flags = {
-        "potential": dict(help="quadratic|tent|constant|zero or a (x,q) CSV path"),
-        "l": dict(type=int, help="grid size"),
-        "m": dict(type=int, help="frozen index (x_m = a)"),
-        "n-max": dict(type=int, dest="n_max", help="largest eigenvalue index"),
-        "ms": dict(help="comma-separated grid sizes m for the convergence study"),
-        "mu": dict(dest="mu_path", help="CSV file of eigenvalues in the mu plane"),
-        "known-w": dict(dest="known_w", help="comma-separated a-priori w values"),
-        "side": dict(choices=("left", "right"), help="which side the known w's sit on"),
-    }
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
+    for name, flags in _FLAGS.items():
         p = sub.add_parser(name)
-        for flag in _FLAGS[name]:
-            p.add_argument("--" + flag, **flags[flag])
+        for flag in flags:
+            flag = flag.strip("[]")
+            p.add_argument("--" + flag, **_SPECS[flag])
         p.add_argument("--output", help="write rendered table to this path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
@@ -350,18 +349,14 @@ def config_from_args(argv=None) -> RunConfig:
     if "--known-w" in argv[:-1]:  # attach the value, which may start with a minus sign
         i = argv.index("--known-w")
         argv[i : i + 2] = ["--known-w=" + argv[i + 1]]
-    args = vars(build_parser().parse_args(argv))
-    for key, parse in (("ms", _parse_int_list), ("known_w", _parse_complex_list)):
-        args[key] = parse(args[key]) if args.get(key) else []
-    return RunConfig(**args)
+    return RunConfig(**vars(build_parser().parse_args(argv)))
 
 
 def main(argv=None) -> int:
     try:
         config = config_from_args(argv)
     except ConfigError as exc:
-        print(json.dumps({"error": "ConfigError", "message": str(exc)}), file=sys.stderr)
-        return 2
+        return _report(exc)
     return run(config)
 
 

@@ -152,7 +152,9 @@ def discrete_spectrum(p: DiscreteProblem, max_iterations: int = 500) -> Spectrum
     is much shorter than the gap, so a weak potential still settles in one
     sweep.  A root settles once its step falls to 1e-14 (1 + |mu|) or its
     scaled residual to 4 eps; random complex |w| <= 1 takes about 5
-    evaluations of f per root.
+    evaluations of f per root.  For real w an imaginary part within that
+    1e-14 (1 + |mu|) is rounding and is set to zero, so real eigenvalues
+    come out exactly real.
 
     Checked against dense eigenvalues of T - w e_m^T to 1e-10 relative to
     max(1, |mu|) for l up to 1024, real and complex w with |w| up to 100 and
@@ -189,6 +191,8 @@ def discrete_spectrum(p: DiscreteProblem, max_iterations: int = 500) -> Spectrum
         return newton, np.abs(f) / (1.0 + np.abs(ra).sum(axis=1))
 
     _aberth(z, secular, max_iterations)
+    if not p.w.imag.any():  # real w: an imaginary part below the settle tolerance is rounding
+        z.imag[np.abs(z.imag) <= 1e-14 * (1.0 + np.abs(z))] = 0.0
     mu[live] = z
     return Spectrum.from_mu(mu, p.h)
 

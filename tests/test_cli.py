@@ -213,7 +213,7 @@ def test_non_finite_cell_exits_1_without_output(tmp_path, capsys, monkeypatch, b
 def test_config_error_missing_flag(capsys):
     assert run(RunConfig(command="inverse", l=4, m=2)) == 2
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "ConfigError"
+    assert err == {"error": "ConfigError", "message": "command 'inverse' requires --mu"}
 
 
 def test_unknown_potential_file(tmp_path, capsys):
@@ -279,7 +279,79 @@ def test_bad_known_w_list():
     ["convergence", "--potential", "zero", "--ms", "5,10", "--l", "9"],
 ])
 def test_flag_the_command_does_not_read_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError"
+    assert "unrecognized arguments" in err["message"]
+
+
+def _failing_argvs(tmp):
+    """Name -> (argv, exit status) of invocations that must fail."""
+    nan_csv = tmp / "nan.csv"
+    nan_csv.write_text("0.0,1.0\n1.5,nan\n3.0,1.0\n")
+    degenerate = ["inverse-degenerate", "--l", "5", "--m", "3", "--mu", str(tmp / "mu.csv")]
+    return {
+        "unread-flag": (["reproduce-tables", "--potential", "tent", "--m", "5"], 2),
+        "bad-choice": ([*degenerate, "--side", "middle", "--known-w", "0.1,0.2"], 2),
+        "bad-int": (["forward", "--potential", "zero", "--l", "nine", "--m", "2"], 2),
+        "no-command": ([], 2),
+        "bad-list": ([*degenerate, "--side", "left", "--known-w", "0.1,oops"], 2),
+        "missing-mu-file": (["inverse", "--l", "4", "--m", "2", "--mu", str(tmp / "missing.csv")], 1),
+        "nan-potential": (["forward", "--potential", str(nan_csv), "--l", "4", "--m", "2"], 2),
+        "non-finite-row": (["spectrum-continuous", "--potential", "zero", "--n-max", "2"], 1),
+    }
+
+
+@pytest.mark.parametrize("case", ["unread-flag", "bad-choice", "bad-int", "no-command", "bad-list",
+                                  "missing-mu-file", "nan-potential", "non-finite-row"])
+def test_every_failure_is_one_json_line(case, tmp_path, capsys, monkeypatch):
+    # nothing on stdout, one JSON object on stderr, no output file, status 2 or 1
+    monkeypatch.setitem(cli._RUNNERS, "spectrum-continuous",
+                        lambda config: ([{"n": 1, "lambda": float("nan")}], {}, None))
+    argv, status = _failing_argvs(tmp_path)[case]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(out)] if argv else argv) == status
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error", "message"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["inverse-degenerate", "--help"]])
+def test_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: frozenarg")
+
+
+_VALUES = {"potential": "zero", "l": "4", "m": "2", "n-max": "3", "ms": "5,10",
+           "mu": "mu.csv", "known-w": "0.1", "side": "left"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in cli._FLAGS.items() for flag in flags if not flag.startswith("[")
+])
+def test_missing_required_flag_is_named_as_typed(command, flag, capsys):
+    argv = [command]
+    for other in cli._FLAGS[command]:
+        if other != flag:
+            other = other.strip("[]")
+            argv += ["--" + other, _VALUES[other]]
+    assert run(config_from_args(argv)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError", "message": f"command {command!r} requires --{flag}"}
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split() for line in block.splitlines() if line.startswith("frozenarg ")]
+    assert {line[1] for line in lines} == set(cli._FLAGS)
+    for line in lines:
+        config = config_from_args(line[1:])
+        assert config.command == line[1]

@@ -349,3 +349,24 @@ def test_spectrum_non_finite_input_raises():
         discrete_spectrum(DiscreteProblem.from_w(w, 2))
     with pytest.raises(WrongCount):
         sample_problem([1, np.inf, 2], 2)
+
+
+@pytest.mark.parametrize("l", [9, 64, 255])
+def test_real_potential_spectrum_is_exactly_real(l):
+    # imaginary parts at rounding level (up to 7e-18 before) are set to zero for real w
+    x = math.pi / (l + 1) * np.arange(1, l + 1)
+    for q in (x * (math.pi - x), 1.0 + np.cos(2.0 * x), 60.0 * np.sin(x)):
+        for m in sorted({1, l // 3 + 1, l // 2 + 1, l}):
+            assert not discrete_spectrum(sample_problem(q, m)).mu.imag.any(), m
+
+
+@pytest.mark.parametrize("l", [16, 64, 256])
+def test_real_w_keeps_dense_count_of_complex_roots(l):
+    # dense eigvals of a real matrix gives real eigenvalues exactly real, so the
+    # counts agree only if zeroing keeps every genuine conjugate pair a pair
+    w = 3.0 * np.random.default_rng(l).standard_normal(l)
+    for m in (1, l // 3, l // 2, l):
+        got = discrete_spectrum(DiscreteProblem.from_w(w, m)).mu
+        want = dense_mu(w, m)
+        assert np.count_nonzero(got.imag) == np.count_nonzero(want.imag), m
+        assert match_error(got, want) <= 1e-10, m
