@@ -349,7 +349,12 @@ def config_from_args(argv=None) -> RunConfig:
     if "--known-w" in argv[:-1]:  # attach the value, which may start with a minus sign
         i = argv.index("--known-w")
         argv[i : i + 2] = ["--known-w=" + argv[i + 1]]
-    return RunConfig(**vars(build_parser().parse_args(argv)))
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        reads = ", ".join("--" + flag.strip("[]") for flag in (*_FLAGS[args.command], "output", "format"))
+        raise ConfigError(f"frozenarg {args.command}: unrecognized arguments: {' '.join(extras)} "
+                          f"(it reads {reads})")
+    return RunConfig(**vars(args))
 
 
 def main(argv=None) -> int:

@@ -104,20 +104,22 @@ def degenerate_mu(l: int, m: int) -> np.ndarray:
 def strip_degenerate(mu, l: int, m: int, tol: float = 1e-8) -> np.ndarray:
     """Remove the d-1 degenerate eigenvalues from a full spectrum.
 
-    For each closed-form value the closest entry is dropped; anything farther
-    than tol away raises WrongCount (the spectrum cannot belong to (l, m)).
+    For each closed-form value the closest entry still kept is dropped (the first on a tie);
+    anything farther than tol away raises WrongCount (the spectrum cannot belong to (l, m)).
+    One masked argmin over the spectrum per value: O(l d), in numpy.
     """
-    mu = list(_finite_array(mu, "eigenvalues"))
+    mu = _finite_array(mu, "eigenvalues")
     if len(mu) != l:
         raise WrongCount(f"expected {l} eigenvalues, got {len(mu)}")
+    keep = np.ones(l, dtype=bool)
     for target in degenerate_mu(l, m):
-        i = min(range(len(mu)), key=lambda i: abs(mu[i] - target))
-        if abs(mu[i] - target) > tol:
-            raise WrongCount(
-                f"no eigenvalue within {tol:g} of the degenerate value {target:.6f}"
-            )
-        mu.pop(i)
-    return np.asarray(mu, dtype=complex)
+        dist = np.abs(mu - target)
+        dist[~keep] = np.inf
+        i = dist.argmin()
+        if dist[i] > tol:
+            raise WrongCount(f"no eigenvalue within {tol:g} of the degenerate value {target:.6f}")
+        keep[i] = False
+    return mu[keep]
 
 
 def solve_degenerate(mu_reduced, m: int, l: int, data: DegenerateData) -> np.ndarray:

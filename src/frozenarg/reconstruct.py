@@ -18,19 +18,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuous import BenchmarkPotential, continuous_spectrum
-from .discrete import Spectrum, discrete_spectrum, sample_problem
+from .discrete import Spectrum, discrete_spectrum, free_lambdas, sample_problem
 from .errors import FrozenArgError, WrongCount
 from .inverse import solve_symmetric
 
 
-def correction(lambda_n: float, n: int, m: int) -> float:
-    """Surrogate discrete eigenvalue lambda_n - n^2 + 4 sin^2(n h / 2) / h^2."""
-    if not math.isfinite(lambda_n):
-        raise WrongCount(f"lambda_{n} must be finite, got {lambda_n}")
-    if not 1 <= n <= 2 * m - 1:
-        raise WrongCount(f"index n={n} outside [1, {2 * m - 1}]")
-    h = math.pi / (2 * m)
-    return lambda_n - n * n + 4.0 * math.sin(n * h / 2.0) ** 2 / h**2
+def correction(lambda_n, n, m: int):
+    """Surrogate discrete eigenvalue lambda_n - n^2 + 4 sin^2(n h / 2) / h^2, h = pi / (2m).
+
+    Elementwise on arrays of lambda_n and n, with the free term read off
+    :func:`discrete.free_lambdas`; a float for scalar arguments.
+    """
+    lam, n = np.broadcast_arrays(np.asarray(lambda_n, dtype=float), np.asarray(n))
+    finite = np.isfinite(lam)
+    if not finite.all():
+        raise WrongCount(f"lambda_{n[~finite][0]} must be finite, got {lam[~finite][0]}")
+    inside = (1 <= n) & (n <= 2 * m - 1)
+    if not inside.all():
+        raise WrongCount(f"index n={n[~inside][0]} outside [1, {2 * m - 1}]")
+    tilde = lam - n * n + free_lambdas(2 * m - 1)[n - 1]
+    return float(tilde) if tilde.ndim == 0 else tilde
 
 
 @dataclass
@@ -66,18 +73,14 @@ def reconstruct(lambdas_odd, m: int) -> ReconstructionResult:
     if len(lambdas_odd) != m:
         raise WrongCount(f"expected {m} odd-index eigenvalues, got {len(lambdas_odd)}")
     h = math.pi / (2 * m)
-    tilde = np.array(
-        [correction(lam, 2 * k + 1, m) for k, lam in enumerate(lambdas_odd)]
-    )
+    tilde = correction(lambdas_odd, np.arange(1, 2 * m, 2), m)
     mu = 2.0 - h * h * tilde
     wm, s = solve_symmetric(mu, m)
     z = np.append(s, wm)
     residue = np.abs(z.imag).max(initial=0.0)
     if not residue <= 1e-9:  # also catches a NaN residue
         raise FrozenArgError(f"imaginary residue {residue:.3e} of the recovered coordinates exceeds 1e-9")
-    q_half = np.empty(m)
-    q_half[: m - 1] = z[: m - 1].real / (2.0 * h * h)
-    q_half[m - 1] = z[m - 1].real / (h * h)
+    q_half = np.append(s.real / 2.0, wm.real) / (h * h)
     q_full = np.concatenate([q_half, q_half[: m - 1][::-1]])  # q_{l+1-j} = q_j
     return ReconstructionResult(m=m, h=h, tilde_lambda=tilde, mu=mu, z=z, q_tilde=q_full)
 
@@ -129,26 +132,24 @@ def error_report(
     otherwise it is computed here.  delta_nl = lambda_nl - lambda~_nl and
     delta_j = q(x_j) - q~_j are also written back into result.delta_q.
     """
-    m, h = result.m, result.h
-    l = result.l
-    xs = h * np.arange(1, l + 1)
-    if discrete_oracle is None:
-        discrete_oracle = discrete_spectrum(sample_problem(pot.q(xs), m))
-    lam_sorted = discrete_oracle.lam.real
-    eigen_rows = []
-    for k in range(m):
-        n = 2 * k + 1
-        tilde = result.tilde_lambda[k]
-        lam_n = tilde + n * n - 4.0 * math.sin(n * h / 2.0) ** 2 / h**2
-        lam_nl = float(lam_sorted[n - 1])
-        eigen_rows.append((n, float(lam_n), lam_nl, float(tilde), lam_nl - float(tilde)))
-    q_true = np.asarray(pot.q(xs[:m]), dtype=float)
-    potential_rows = [
-        (j + 1, float(xs[j]), float(q_true[j]), float(result.q_tilde[j]), float(q_true[j] - result.q_tilde[j]))
-        for j in range(m)
-    ]
-    result.delta_q = np.array([r[4] for r in potential_rows])
+    m = result.m
+    n = np.arange(1, 2 * m, 2)
+    lam_d = _sampled_lambdas(pot, m) if discrete_oracle is None else discrete_oracle.lam.real
+    tilde, lam_nl = result.tilde_lambda, lam_d[n - 1]
+    lam_n = tilde + n * n - free_lambdas(result.l)[n - 1]
+    eigen_rows = zip(n.tolist(), lam_n.tolist(), lam_nl.tolist(), tilde.tolist(), (lam_nl - tilde).tolist())
+    xs = result.h * np.arange(1, m + 1)
+    q_true = np.asarray(pot.q(xs), dtype=float)
+    result.delta_q = q_true - result.q_tilde[:m]
+    potential_rows = zip(range(1, m + 1), xs.tolist(), q_true.tolist(), result.q_tilde[:m].tolist(),
+                         result.delta_q.tolist())
     return ErrorReport(eigen_rows=tuple(eigen_rows), potential_rows=tuple(potential_rows))
+
+
+def _sampled_lambdas(pot: BenchmarkPotential, m: int) -> np.ndarray:
+    """Real parts of the discrete lambda_{n,l}, n = 1..l, of pot sampled on the l = 2m-1 grid."""
+    xs = (math.pi / (2 * m)) * np.arange(1, 2 * m)
+    return discrete_spectrum(sample_problem(pot.q(xs), m)).lam.real
 
 
 def trapz_prime_sum(p_values, n: int, m: int) -> complex:
@@ -220,28 +221,15 @@ def convergence_study(pot: BenchmarkPotential, ms, ns) -> ConvergenceStudy:
     for n in ns:
         if len({m for m in ms if n <= 2 * m - 1}) < 2:
             raise WrongCount(f"n = {n} needs two distinct grid sizes m with n <= 2m - 1, got {ms}")
-    lam_n = dict(continuous_spectrum(pot, 2 * max(ms) - 1).odd)
-
-    rows = []
-    trapezoid_rows = []
-    tail_rows = []
+    lam_odd = continuous_spectrum(pot, 2 * max(ms) - 1).odd_lambdas
+    rows, trapezoid_rows, tail_rows = [], [], []
     for m in ms:
-        l = 2 * m - 1
         h = math.pi / (2 * m)
-        xs = h * np.arange(1, l + 1)
-        spectrum = discrete_spectrum(sample_problem(pot.q(xs), m))
-        lam_d = spectrum.lam.real
-        for n in ns:
-            if n > l:
-                continue
-            tilde = correction(lam_n[n], n, m)
-            rows.append((n, m, h, abs(float(lam_d[n - 1]) - tilde)))
-        worst = 0.0
-        for n in range(m if m % 2 == 1 else m + 1, l + 1, 2):
-            tilde = correction(lam_n[n], n, m)
-            worst = max(worst, abs(float(lam_d[n - 1]) - tilde))
-        tail_rows.append((m, h, worst))
+        n = np.arange(1, 2 * m, 2)
+        err = np.abs(_sampled_lambdas(pot, m)[n - 1] - correction(lam_odd[:m], n, m))  # odd n = 1..2m-1
+        rows += [(k, m, h, float(err[k // 2])) for k in ns if k <= 2 * m - 1]
         n_half = m if m % 2 == 1 else m + 1
+        tail_rows.append((m, h, float(err[n_half // 2 :].max(initial=0.0))))
         p_vals = np.asarray(pot.p(h * np.arange(m + 1)), dtype=complex)
         trapezoid_rows.append((m, h, n_half, abs(trapz_prime_sum(p_vals, n_half, m))))
 

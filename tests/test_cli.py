@@ -128,6 +128,7 @@ GOLDEN = Path(__file__).parent / "golden"
     [
         (["reproduce-tables", "--m", "5"], "reproduce_tables_m5.txt"),
         (["convergence", "--potential", "quadratic", "--ms", "5,10,20,40"], "convergence_quadratic_ms5-40.txt"),
+        (["convergence", "--potential", "tent", "--ms", "8,16,32,64"], "convergence_tent_ms8-64.txt"),
     ],
 )
 def test_cli_text_is_unchanged(argv, golden, capsys):
@@ -285,6 +286,9 @@ def test_flag_the_command_does_not_read_exits_2(argv, capsys):
     err = json.loads(captured.err)
     assert err["error"] == "ConfigError"
     assert "unrecognized arguments" in err["message"]
+    # the message names the command and the flags it does read
+    assert err["message"].startswith(f"frozenarg {argv[0]}: ")
+    assert all(f"--{flag.strip('[]')}" in err["message"] for flag in cli._FLAGS[argv[0]])
 
 
 def _failing_argvs(tmp):

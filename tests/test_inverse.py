@@ -209,6 +209,23 @@ def test_degenerate_insensitive_to_perturbed_degenerate_inputs():
     assert np.array_equal(clean, noisy)
 
 
+def test_strip_degenerate_matches_nearest_entry_scan():
+    # brute force: for each degenerate value pop the nearest remaining entry, first index on a tie
+    l, m = 1023, 512  # d = 512
+    rng = np.random.default_rng(27)
+    targets = degenerate_mu(l, m)
+    near = targets + 1e-10 * (rng.standard_normal(511) + 1j * rng.standard_normal(511))
+    near[::7] = targets[::7] + 1e-10j
+    dup = targets[::7] - 1e-10j  # the same distance as its partner in near: a tie
+    rest = rng.uniform(-2, 2, l - len(near) - len(dup)) + 1j * rng.uniform(-1, 1, l - len(near) - len(dup))
+    mu = np.concatenate([near, dup, rest])
+    rng.shuffle(mu)
+    expected = list(mu)
+    for target in targets:
+        expected.pop(min(range(len(expected)), key=lambda i: abs(expected[i] - target)))
+    assert np.array_equal(strip_degenerate(mu, l, m), np.array(expected))
+
+
 def test_strip_degenerate_rejects_foreign_spectrum():
     with pytest.raises(WrongCount):
         strip_degenerate(np.full(5, 10.0 + 0j), 5, 3)

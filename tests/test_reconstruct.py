@@ -11,14 +11,17 @@ from frozenarg import (
     FrozenArgError,
     WrongCount,
     constant_potential,
+    continuous_spectrum,
     convergence_study,
     correction,
     delta_eval,
+    discrete_spectrum,
     error_report,
     quadratic_potential,
     r_eval,
     reconstruct,
     reconstruct_from_potential,
+    sample_problem,
     solve_symmetric,
     tent_potential,
     trapz_prime_sum,
@@ -78,6 +81,18 @@ def test_correction_benchmark_values():
 def test_correction_index_guard():
     with pytest.raises(WrongCount):
         correction(1.0, 10, 5)
+    with pytest.raises(WrongCount, match="n=10"):
+        correction([1.0, 2.0], [9, 10], 5)
+
+
+def test_correction_on_arrays_is_the_scalar_call_elementwise():
+    m = 16
+    rng = np.random.default_rng(5)
+    n = np.arange(1, 2 * m)
+    lam = n * n + rng.uniform(-1, 1, len(n))
+    got = correction(lam, n, m)
+    assert isinstance(correction(float(lam[0]), 1, m), float)
+    assert np.array_equal(got, [correction(float(x), int(k), m) for x, k in zip(lam, n)])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -249,6 +264,25 @@ def test_study_tent_tail_rate():
 def test_study_trapezoid_rate():
     study = convergence_study(tent_potential(), ms=(8, 16, 32, 64), ns=(1,))
     assert study.trapezoid_slope >= 0.8
+
+
+def test_study_rows_match_a_per_n_loop():
+    # brute force: every odd n on its own, with the free term written out
+    pot, ms = tent_potential(), (5, 10, 20)
+    study = convergence_study(pot, ms=ms, ns=(1, 3, 13))
+    lam = dict(continuous_spectrum(pot, 2 * max(ms) - 1).odd)
+    rows, tail = [], []
+    for m in ms:
+        h = math.pi / (2 * m)
+        xs = h * np.arange(1, 2 * m)
+        lam_d = discrete_spectrum(sample_problem(tent_potential().q(xs), m)).lam.real
+        err = {n: abs(lam_d[n - 1] - (lam[n] - n * n + 4 * math.sin(n * h / 2) ** 2 / h**2))
+               for n in range(1, 2 * m, 2)}
+        rows += [(n, m, h, err[n]) for n in (1, 3, 13) if n <= 2 * m - 1]
+        tail.append((m, h, max(e for n, e in err.items() if n >= m)))
+    for got, want in ((study.rows, rows), (study.tail_rows, tail)):
+        assert [r[:-1] for r in got] == [r[:-1] for r in want]
+        np.testing.assert_allclose([r[-1] for r in got], [r[-1] for r in want], rtol=1e-12, atol=0)
 
 
 def test_study_rejects_even_n():
