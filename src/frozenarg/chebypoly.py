@@ -10,9 +10,10 @@ are one DST-I of the values times sin(theta) (:func:`_dst1`).
 
 The discrete system matrix T - w e_m^T is a rank-one update of T, whose
 eigenvalues are the zeros nu_k of psi_{l+1}.  :func:`_secular_weights` maps w
-to the weights of its secular equation at those poles, and :func:`_read_w`
-reads w back from the spectrum, the same DST-I run backwards.  Polynomials in
-monomial form live in :mod:`frozenarg.monomial`.
+to the weights of its secular equation at those poles, :func:`_w_from_weights`
+maps them back, the same DST-I run backwards, and :func:`_read_weights` reads
+them off the spectrum.  Polynomials in monomial form live in
+:mod:`frozenarg.monomial`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ from .errors import NoConvergence, WrongCount
 _EPS = np.finfo(float).eps
 _BLOCK = 1 << 15  # entries per row block of the O(n^2) kernels
 _RUN = 64  # factors per partial product: 64 factors of modulus up to 2^15 stay in double range
+_MAX_SWEEPS = 500  # Aberth sweeps before NoConvergence
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of an O(n^2) kernel whose rows hold width entries: about _BLOCK entries a block.
+
+    No result depends on it: every kernel reduces each row on its own.
+    """
+    return _BLOCK // max(width, 1) + 1
 
 
 def psi_zeros(n: int) -> np.ndarray:
@@ -76,12 +86,13 @@ def _w_from_weights(a: np.ndarray, m: int) -> np.ndarray:
     return _dst1(np.divide(a, _psi_sin(m, k, n), out=np.zeros(n - 1, dtype=complex), where=m * k % n != 0))
 
 
-def _read_w(mu: np.ndarray, l: int, m: int, d: int) -> np.ndarray:
-    """w from the spectrum mu of T - w e_m^T less the d-1 zeros of psi_d, read on the zeros of psi_{l+1}.
+def _read_weights(mu: np.ndarray, l: int, m: int, d: int) -> np.ndarray:
+    """Secular weights of T - w e_m^T from its spectrum mu less the d-1 zeros of psi_d, read on the zeros of psi_{l+1}.
 
     At nu_k = 2 cos(theta_k), theta_k = pi k/n, n = l+1, the weights are a_k = D(nu_k) / psi_n'(nu_k)
     with D = prod (nu - mu_i) psi_d, psi_n'(nu_k) = -n (-1)^k / (2 sin^2 theta_k) and
-    psi_d(nu_k) = sin(d theta_k) / sin(theta_k); only those where s_m does not vanish are read.
+    psi_d(nu_k) = sin(d theta_k) / sin(theta_k); only those where s_m does not vanish are read,
+    the others are 0.  w is _w_from_weights of them.
     """
     n = l + 1
     k = np.arange(1, n)
@@ -90,7 +101,7 @@ def _read_w(mu: np.ndarray, l: int, m: int, d: int) -> np.ndarray:
     theta = np.pi * k / n
     sign = np.where(k % 2 == 1, 2.0 / n, -2.0 / n)  # -(2/n) (-1)^k
     a[k - 1] = sign * np.sin(theta) * _psi_sin(d, k, n) * _product_at(2.0 * np.cos(theta), mu)
-    return _w_from_weights(a, m)
+    return a
 
 
 def _product_at(nu, mu) -> np.ndarray:
@@ -100,14 +111,14 @@ def _product_at(nu, mu) -> np.ndarray:
     overflow, in solve_symmetric from m of about 1280.  So the factors are multiplied in
     runs of _RUN, each run's product is split by np.frexp of its modulus into
     a factor in [1/2, 1) and a power of two, and the two parts are combined
-    separately.  Rows are built in blocks of at most _BLOCK entries.
+    separately.  Rows are built in blocks of _block_rows(len(mu)).
 
     The rescaling is by powers of two, so up to _RUN factors (one run) the
     result has the same bits as the plain product.
     """
     starts = np.arange(0, mu.size, _RUN)
     g = np.empty(nu.size, dtype=complex)
-    rows = max(1, _BLOCK // mu.size)
+    rows = _block_rows(mu.size)
     # one buffer per call, set to nu and then less mu in place: nu[:, None] - mu page-faults
     # a fresh block in on every call
     work = np.empty((min(nu.size, rows), mu.size), dtype=complex)
@@ -122,25 +133,25 @@ def _product_at(nu, mu) -> np.ndarray:
     return g
 
 
-def _aberth(z, ratio, max_iterations: int) -> np.ndarray:
+def _aberth(z, ratio) -> np.ndarray:
     """Simultaneous Aberth-Ehrlich iteration on the starting points z (Bini and Fiorentino 2000).
 
     ``ratio(x) -> (newton, scaled_residual)`` gives the Newton ratio f/f' and
     a residual scaled so that 4 eps is the rounding level of f, for the points
-    x; it is called on at most _BLOCK // len(z) + 1 points at a time.  Each
+    x; it is called on at most _block_rows(len(z)) points at a time.  Each
     sweep moves every active root by N_i / (1 - N_i sum_{j != i} 1/(z_i - z_j))
     (a zero denominator leaves the Newton ratio N_i), then a root settles
     once its scaled residual is <= 4 eps or its step <= 1e-14 (1 + |z_i|);
     settled roots still enter the others' sums.  Raises NoConvergence on a
-    non-finite step or after max_iterations sweeps, with the worst residual.
+    non-finite step or after _MAX_SWEEPS sweeps, with the worst residual.
     Updates z in place and returns it.
     """
     n = len(z)
-    block = _BLOCK // max(n, 1) + 1  # rows per block: about 0.5 MB per matrix at any n
+    block = _block_rows(n)  # about 0.5 MB per matrix at any n
     work = np.empty((min(n, block), n), dtype=complex)  # once per call, not a page-faulting temporary per block
     active = np.arange(n)
     res = np.full(n, np.inf)
-    for _ in range(max_iterations):
+    for _ in range(_MAX_SWEEPS):
         if not len(active):
             break
         step = np.empty(len(active), dtype=complex)
@@ -159,7 +170,7 @@ def _aberth(z, ratio, max_iterations: int) -> np.ndarray:
         active = active[(res > 4.0 * _EPS) & (np.abs(step) > 1e-14 * (1.0 + np.abs(z[active])))]
     if len(active):
         raise NoConvergence(
-            f"Aberth iteration hit the cap ({max_iterations}); worst scaled residual {res.max():.3e}",
+            f"Aberth iteration hit the cap ({_MAX_SWEEPS}); worst scaled residual {res.max():.3e}",
             worst_residual=float(res.max()),
         )
     return z

@@ -25,12 +25,13 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import continuous, inverse
-from .discrete import discrete_spectrum, sample_problem
+from .discrete import _grid, discrete_spectrum, sample_problem
 from .errors import ConfigError, FrozenArgError, WrongCount
 from .reconstruct import convergence_study, error_report, reconstruct_from_potential
 
@@ -62,7 +63,9 @@ def _load_potential(name: str):
 
 def _load_mu(path: str) -> np.ndarray:
     try:
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        with warnings.catch_warnings():  # an empty file warns on stderr; the solvers' count checks report it
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except ValueError as err:
         raise ConfigError(f"spectrum file {path} is not numeric CSV: {err}") from err
     if data.shape[1] == 1:
@@ -83,8 +86,7 @@ def _c(z) -> dict:
 
 def _run_forward(config: RunConfig):
     pot = _load_potential(config.potential)
-    xs = (math.pi / (config.l + 1)) * np.arange(1, config.l + 1)
-    spec = discrete_spectrum(sample_problem(pot.q(xs), config.m))
+    spec = discrete_spectrum(sample_problem(pot.q(_grid(config.l)), config.m))
     rows = [
         {"n": n + 1, "mu_re": mu.real, "mu_im": mu.imag, "lambda_re": lam.real, "lambda_im": lam.imag}
         for n, (mu, lam) in enumerate(zip(spec.mu, spec.lam))
@@ -180,17 +182,6 @@ def _run_convergence(config: RunConfig):
     return rows, {"slopes": slopes}, text
 
 
-_RUNNERS = {
-    "forward": _run_forward,
-    "inverse": _run_inverse,
-    "inverse-degenerate": _run_inverse_degenerate,
-    "spectrum-continuous": _run_spectrum_continuous,
-    "reconstruct": _run_reconstruct,
-    "reproduce-tables": _run_reproduce_tables,
-    "convergence": _run_convergence,
-}
-
-
 # ---------------------------------------------------------------------------
 # rendering and dispatch
 # ---------------------------------------------------------------------------
@@ -243,14 +234,15 @@ def run(config: RunConfig) -> int:
     :func:`_report`.
     """
     try:
-        if config.command not in _RUNNERS:
+        if config.command not in _COMMANDS:
             raise ConfigError(f"unknown command {config.command!r}")
         if config.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {config.format!r}")
-        for flag in _FLAGS[config.command]:
+        runner, flags = _COMMANDS[config.command]
+        for flag in flags:
             if not flag.startswith("[") and getattr(config, _dest(flag)) in (None, []):
                 raise ConfigError(f"command {config.command!r} requires --{flag}")
-        rows, diagnostics, text = _RUNNERS[config.command](config)
+        rows, diagnostics, text = runner(config)
         _require_finite(rows)
         rendered = (
             _render_json(config, rows, diagnostics)
@@ -305,14 +297,14 @@ _SPECS = {  # argparse spec of every command flag; dest defaults to the name wit
     "side": dict(choices=("left", "right"), help="which side the known w's sit on"),
 }
 
-_FLAGS = {  # the flags each command reads, besides --output and --format; [bracketed] ones are optional
-    "forward": ("potential", "l", "m"),
-    "inverse": ("l", "m", "mu"),
-    "inverse-degenerate": ("l", "m", "mu", "known-w", "side"),
-    "spectrum-continuous": ("potential", "n-max"),
-    "reconstruct": ("potential", "m"),
-    "reproduce-tables": ("[m]",),
-    "convergence": ("potential", "ms"),
+_COMMANDS = {  # command: its runner and the flags it reads besides --output and --format; [m] is optional
+    "forward": (_run_forward, ("potential", "l", "m")),
+    "inverse": (_run_inverse, ("l", "m", "mu")),
+    "inverse-degenerate": (_run_inverse_degenerate, ("l", "m", "mu", "known-w", "side")),
+    "spectrum-continuous": (_run_spectrum_continuous, ("potential", "n-max")),
+    "reconstruct": (_run_reconstruct, ("potential", "m")),
+    "reproduce-tables": (_run_reproduce_tables, ("[m]",)),
+    "convergence": (_run_convergence, ("potential", "ms")),
 }
 
 
@@ -334,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral toolkit for the frozen-argument Sturm-Liouville problem",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in _FLAGS.items():
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         for flag in flags:
             flag = flag.strip("[]")
@@ -351,7 +343,7 @@ def config_from_args(argv=None) -> RunConfig:
         argv[i : i + 2] = ["--known-w=" + argv[i + 1]]
     args, extras = build_parser().parse_known_args(argv)
     if extras:
-        reads = ", ".join("--" + flag.strip("[]") for flag in (*_FLAGS[args.command], "output", "format"))
+        reads = ", ".join("--" + flag.strip("[]") for flag in (*_COMMANDS[args.command][1], "output", "format"))
         raise ConfigError(f"frozenarg {args.command}: unrecognized arguments: {' '.join(extras)} "
                           f"(it reads {reads})")
     return RunConfig(**vars(args))

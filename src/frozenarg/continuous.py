@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chebypoly import _BLOCK
+from .chebypoly import _block_rows
 from .errors import BracketFailure, FrozenArgError, NoConvergence, QuadratureFailure, WrongCount
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -215,8 +215,7 @@ def _r(grid, rho) -> np.ndarray:
     Every term is O(rho), so dividing by rho keeps the digits down to tiny
     and complex rho; at rho = 0, R(0) = 2 + int p t dt = 2 + sum 2h (m c_0 + h c_1/3).
     The j_k are evaluated once per distinct half-width and gathered to the
-    panels.  Kernels are built in row blocks of at most _BLOCK entries per
-    array.
+    panels.  Kernels are built in blocks of _block_rows(4 * panels) rho.
     """
     mid, widths, which, coeffs = grid
     rho = np.asarray(rho)
@@ -224,7 +223,7 @@ def _r(grid, rho) -> np.ndarray:
     r = (2.0 - 4.0 * (turns % 2)) * np.cos((rho / 2 - turns) * math.pi)
     r[rho == 0] += (mid * coeffs[:, 0] + widths[which] * coeffs[:, 1] / 3.0).sum()
     nonzero = np.flatnonzero(rho)
-    rows = max(1, _BLOCK // (4 * mid.size))
+    rows = _block_rows(4 * mid.size)
     for lo in range(0, nonzero.size, rows):
         i = nonzero[lo : lo + rows]
         x = rho[i][:, None]

@@ -24,8 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebypoly import _BLOCK, _EPS, _aberth, _secular_weights
+from .chebypoly import _EPS, _aberth, _block_rows, _secular_weights
 from .errors import BadIndex, FrozenArgError, WrongCount
+
+
+def _check_index(m: int, l: int) -> None:
+    """BadIndex unless the frozen index m lies in [1, l]."""
+    if not 1 <= m <= l:
+        raise BadIndex(f"frozen index m={m} outside [1, {l}]")
+
+
+def _grid(l: int) -> np.ndarray:
+    """Interior grid points x_j = j pi/(l+1), j = 1..l."""
+    return (math.pi / (l + 1)) * np.arange(1, l + 1)
 
 
 @dataclass(frozen=True)
@@ -39,8 +50,7 @@ class DiscreteProblem:
     def __post_init__(self):
         if self.l < 1:
             raise WrongCount("grid size l must be >= 1")
-        if not 1 <= self.m <= self.l:
-            raise BadIndex(f"frozen index m={self.m} outside [1, {self.l}]")
+        _check_index(self.m, self.l)
         w = np.atleast_1d(np.asarray(self.w, dtype=complex)).copy()
         if len(w) != self.l:
             raise WrongCount(f"expected {self.l} coefficients, got {len(w)}")
@@ -62,7 +72,7 @@ class DiscreteProblem:
     @property
     def x(self) -> np.ndarray:
         """Interior grid points x_1..x_l."""
-        return self.h * np.arange(1, self.l + 1)
+        return _grid(self.l)
 
 
 @dataclass(frozen=True)
@@ -96,8 +106,7 @@ def sample_problem(q_values, m: int) -> DiscreteProblem:
     l = len(q)
     if l < 1:
         raise WrongCount("need at least one sample")
-    if not 1 <= m <= l:
-        raise BadIndex(f"frozen index m={m} outside [1, {l}]")
+    _check_index(m, l)
     if not np.isfinite(q).all():  # before h^2 q, where inf + 0j turns into nan
         raise WrongCount("coefficients must be finite")
     h = math.pi / (l + 1)
@@ -130,7 +139,7 @@ def d_eval(p: DiscreteProblem, mu):
     return d if np.ndim(mu) else complex(d[0])
 
 
-def discrete_spectrum(p: DiscreteProblem, max_iterations: int = 500) -> Spectrum:
+def discrete_spectrum(p: DiscreteProblem) -> Spectrum:
     """All l eigenvalues of the discrete problem, from the secular equation.
 
     A weight with |a_k| <= 4 eps (1 + sum |a|) is deflated: nu_k is then an
@@ -159,7 +168,7 @@ def discrete_spectrum(p: DiscreteProblem, max_iterations: int = 500) -> Spectrum
     Checked against dense eigenvalues of T - w e_m^T to 1e-10 relative to
     max(1, |mu|) for l up to 1024, real and complex w with |w| up to 100 and
     every m, in at most 20 sweeps.  Raises NoConvergence on a non-finite step
-    or at the iteration cap.
+    or at the cap of chebypoly._MAX_SWEEPS sweeps.
     """
     nu, a = _secular_weights(p.w, p.m)
     live = ~(np.abs(a) <= 4.0 * _EPS * (1.0 + np.abs(a).sum()))  # a NaN weight stays live and fails
@@ -168,7 +177,7 @@ def discrete_spectrum(p: DiscreteProblem, max_iterations: int = 500) -> Spectrum
     n = len(nu)
     gap = np.abs(np.diff(nu, prepend=np.inf, append=-np.inf))
     gap = np.minimum(gap[:-1], gap[1:])
-    rows = _BLOCK // max(n, 1) + 1  # as in _aberth: about 0.5 MB per complex block at any n
+    rows = _block_rows(n)  # the points _aberth passes to secular at a time
     c = np.empty(n, dtype=complex)
     for lo in range(0, n, rows):  # c_k = 1 + sum_{j != k} a_j / (nu_k - nu_j), never an n x n array
         inv = np.subtract(nu[lo : lo + rows, None], nu)
@@ -179,8 +188,7 @@ def discrete_spectrum(p: DiscreteProblem, max_iterations: int = 500) -> Spectrum
     s[~np.isfinite(s)] = 0.0
     offset = 0.2 * np.abs(s) * np.minimum(1.0, np.abs(s) / gap) + 1e-8
     z = nu - s + offset * np.exp(1j * (0.39 + 2.0 * np.pi * np.arange(n) / n))
-    # _aberth passes at most `rows` points at a time; filled in place, since
-    # fresh 0.5 MB temporaries are page-faulted in again on every block
+    # filled in place, since fresh 0.5 MB temporaries are page-faulted in again on every block
     work = np.empty((3, min(n, rows), n), dtype=complex)
 
     def secular(x):
@@ -190,7 +198,7 @@ def discrete_spectrum(p: DiscreteProblem, max_iterations: int = 500) -> Spectrum
         newton = f / (f * r.sum(axis=1) - np.multiply(r, ra, out=rra).sum(axis=1))
         return newton, np.abs(f) / (1.0 + np.abs(ra).sum(axis=1))
 
-    _aberth(z, secular, max_iterations)
+    _aberth(z, secular)
     if not p.w.imag.any():  # real w: an imaginary part below the settle tolerance is rounding
         z.imag[np.abs(z.imag) <= 1e-14 * (1.0 + np.abs(z))] = 0.0
     mu[live] = z

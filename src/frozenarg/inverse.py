@@ -11,11 +11,13 @@ Three regimes:
   w_j + w_{l+1-j} are determined (:func:`solve_symmetric`).
 
 The nondegenerate and symmetric solvers read the secular weights of the rank-one
-update T - w e_m^T off the spectrum at the zeros 2 cos(pi k/(l+1)) of psi_{l+1}, and one
-DST-I runs :func:`chebypoly._secular_weights` backwards (:func:`chebypoly._read_w`).  The
-degenerate solver takes its node values on the zeros of psi_m, but still interpolates them in
-the monomial basis (:func:`monomial._solve_degenerate_left`).  No numerical root-finding enters
-the inversion, so results are deterministic.
+update T - w e_m^T off the spectrum at the zeros 2 cos(pi k/(l+1)) of psi_{l+1}
+(:func:`chebypoly._read_weights`), and one DST-I runs :func:`chebypoly._secular_weights`
+backwards (:func:`chebypoly._w_from_weights`).  The degenerate solver takes its node values on
+the zeros of psi_m, but still interpolates them in the monomial basis
+(:func:`monomial._solve_degenerate_left`), and checks its result against the weights read off
+the spectrum.  No numerical root-finding enters the inversion, so results are deterministic.
+Every solver raises BadIndex for a frozen index m outside [1, l].
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebypoly import _read_w, psi_zeros
+from .chebypoly import _read_weights, _secular_weights, _w_from_weights, psi_zeros
+from .discrete import _check_index
 from .errors import (
     DegenerateConfiguration,
+    InexactDivision,
     NotDegenerate,
     SideDataMismatch,
     WrongCount,
@@ -78,7 +82,7 @@ def solve_nondegenerate(mu, m: int, l: int | None = None) -> np.ndarray:
     zeros nu_k = 2 cos(pi k/n) of psi_n and weights a = s_m (2/n) DST-I(w), s_m = sin(m pi k/n)
     (:func:`chebypoly._secular_weights`).  The residue at nu_k is a_k = D(nu_k) / psi_n'(nu_k),
     gcd(m, n) = 1 keeps every s_m off 0, and DST-I twice is (n/2) I, so w = DST-I(a / s_m)
-    (:func:`chebypoly._read_w`).  With random complex |w| <= 1 the relative error is 4e-13 to 4e-12 at
+    (:func:`chebypoly._read_weights`, :func:`chebypoly._w_from_weights`).  With random complex |w| <= 1 the relative error is 4e-13 to 4e-12 at
     l = 64 and up to 8e-9 at l = 1024 (m near l/2) against dense eigvals, nearly all of it their
     own rounding, and up to 9e-11 at l = 1024 on spectra from discrete_spectrum.
     """
@@ -87,13 +91,12 @@ def solve_nondegenerate(mu, m: int, l: int | None = None) -> np.ndarray:
         l = len(mu)
     if len(mu) != l:
         raise WrongCount(f"expected {l} eigenvalues, got {len(mu)}")
-    if not 1 <= m <= l:
-        raise WrongCount(f"frozen index m={m} outside [1, {l}]")
+    _check_index(m, l)
     if math.gcd(m, l + 1) != 1:
         raise DegenerateConfiguration(
             f"gcd(m, l+1) = {math.gcd(m, l + 1)} > 1: use solve_degenerate"
         )
-    return _read_w(mu, l, m, 1)
+    return _w_from_weights(_read_weights(mu, l, m, 1), m)
 
 
 def degenerate_mu(l: int, m: int) -> np.ndarray:
@@ -108,6 +111,7 @@ def strip_degenerate(mu, l: int, m: int, tol: float = 1e-8) -> np.ndarray:
     anything farther than tol away raises WrongCount (the spectrum cannot belong to (l, m)).
     One masked argmin over the spectrum per value: O(l d), in numpy.
     """
+    _check_index(m, l)
     mu = _finite_array(mu, "eigenvalues")
     if len(mu) != l:
         raise WrongCount(f"expected {l} eigenvalues, got {len(mu)}")
@@ -128,7 +132,18 @@ def solve_degenerate(mu_reduced, m: int, l: int, data: DegenerateData) -> np.nda
     side="left" runs :func:`monomial._solve_degenerate_left`; side="right" reflects the grid by
     j -> l+1-j (an exact spectral equivalence that moves the frozen index to
     l+1-m), runs the left algorithm, and reflects back.
+
+    The monomial route loses digits as l grows and may raise InexactDivision (from l = 35 at
+    d = m).  Where it returns, the secular weights of its w (:func:`chebypoly._secular_weights`)
+    are checked against those read off the reduced spectrum on the zeros of psi_{l+1}
+    (:func:`chebypoly._read_weights`, exact to rounding): a misfit above 1e-6 of the largest read
+    weight raises InexactDivision.  The route's misfit is absolute, on the scale of the spectrum,
+    so weights below 1 count as 1: w = 0, whose weights vanish, is held to the same misfit as
+    |w| <= 1.  Random complex |w| <= 1 against dense eigvals, every degenerate (l, m) with l < 60
+    and ten seeds: the misfit is 0.02 to 1.6 times the relative error of w, and every w returned
+    is within 9.5e-6 of the truth relative to max |w|.
     """
+    _check_index(m, l)
     d = math.gcd(m, l + 1)
     if d == 1:
         raise NotDegenerate(f"gcd(m, l+1) = 1 for (l, m) = ({l}, {m}): use solve_nondegenerate")
@@ -138,15 +153,18 @@ def solve_degenerate(mu_reduced, m: int, l: int, data: DegenerateData) -> np.nda
     if len(mu_reduced) != l - d + 1:
         raise WrongCount(f"expected {l - d + 1} non-degenerate eigenvalues, got {len(mu_reduced)}")
     if data.side == "left":
-        return _solve_degenerate_left(mu_reduced, m, l, data.known_w)
-    if m + d > l:
+        w = _solve_degenerate_left(mu_reduced, m, l, data.known_w)
+    elif m + d > l:
         raise SideDataMismatch(
             f"side=right needs w_{{m+1}}..w_{{m+d}} inside the grid, but m+d = {m + d} > l = {l}"
         )
-    # reflected problem knows w'_{m'-d+1}..w'_{m'-1} = w_{m+d-1}..w_{m+1}
-    known_left = data.known_w[: d - 1][::-1]
-    w_ref = _solve_degenerate_left(mu_reduced, l + 1 - m, l, known_left)
-    return w_ref[::-1].copy()
+    else:  # reflected problem knows w'_{m'-d+1}..w'_{m'-1} = w_{m+d-1}..w_{m+1}
+        w = _solve_degenerate_left(mu_reduced, l + 1 - m, l, data.known_w[: d - 1][::-1])[::-1].copy()
+    read = _read_weights(mu_reduced, l, m, d)
+    misfit = np.abs(_secular_weights(w, m)[1] - read).max()
+    if not misfit <= 1e-6 * max(np.abs(read).max(), 1.0):  # also catches a NaN misfit
+        raise InexactDivision(f"the secular weights of the result miss those of the spectrum by {misfit:.3e}")
+    return w
 
 
 def solve_symmetric(mu_odd, m: int) -> tuple[complex, np.ndarray]:
@@ -159,10 +177,9 @@ def solve_symmetric(mu_odd, m: int) -> tuple[complex, np.ndarray]:
     complex |w| <= 1 the error relative to the largest pair sum is 2e-12, 3e-11 and 4e-10 against
     dense eigvals at m = 128, 512 and 2048, and 3e-14, 3e-13 and 2e-12 on discrete_spectrum's.
     """
+    _check_index(m, 2 * m - 1)
     mu_odd = _finite_array(mu_odd, "eigenvalues")
-    if m < 1:
-        raise WrongCount(f"frozen index m={m} must be >= 1")
     if len(mu_odd) != m:
         raise WrongCount(f"expected {m} eigenvalues, got {len(mu_odd)}")
-    w = _read_w(mu_odd, 2 * m - 1, m, m)
+    w = _w_from_weights(_read_weights(mu_odd, 2 * m - 1, m, m), m)
     return complex(w[m - 1]), 2.0 * w[: m - 1]

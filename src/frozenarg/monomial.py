@@ -29,6 +29,8 @@ from .discrete import DiscreteProblem
 from .errors import DegreeMismatch, DuplicateNode, InexactDivision, WrongCount
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
+_DIVIDE_TOL = 1e-10  # largest remainder of an exact division, relative to the dividend
+_FIT_TOL = 1e-9  # largest coefficient poly_to_psi drops past mu^(n-1), relative to the largest
 
 
 def _two_sum(a, b):
@@ -155,16 +157,16 @@ class Poly:
             return Poly.zero()
         return Poly(np.convolve(self.coeffs, other.coeffs))
 
-    def divide_exact(self, divisor: "Poly", tol: float = 1e-10) -> "Poly":
+    def divide_exact(self, divisor: "Poly") -> "Poly":
         """Quotient self / divisor when the division is exact in theory.
 
         Synthetic division; the remainder only measures round-off, asserted
-        below tol * ||self||_inf.
+        below _DIVIDE_TOL * ||self||_inf.
         """
         if divisor.degree < 0:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.degree < divisor.degree:
-            if np.abs(self.coeffs).max(initial=0.0) <= tol:
+            if np.abs(self.coeffs).max(initial=0.0) <= _DIVIDE_TOL:
                 return Poly.zero()
             raise InexactDivision("dividend has lower degree than divisor")
         r = np.array(self.coeffs, dtype=complex)
@@ -176,10 +178,8 @@ class Poly:
             r[k : k + divisor.degree + 1] -= q[k] * d
         rem = np.abs(r[: divisor.degree]).max(initial=0.0)
         scale = np.abs(self.coeffs).max(initial=1.0)
-        if rem > tol * scale:
-            raise InexactDivision(
-                f"remainder norm {rem:.3e} exceeds {tol:.1e} * ||dividend||"
-            )
+        if rem > _DIVIDE_TOL * scale:
+            raise InexactDivision(f"remainder norm {rem:.3e} exceeds {_DIVIDE_TOL:.1e} * ||dividend||")
         return Poly(q)
 
 
@@ -245,13 +245,14 @@ def psi_to_poly(series: PsiSeries) -> Poly:
     return Poly(hi_r + 1j * hi_i, _comp=lo_r + 1j * lo_i)
 
 
-def poly_to_psi(p: Poly, n: int | None = None, tol: float = 1e-9) -> PsiSeries:
+def poly_to_psi(p: Poly, n: int | None = None) -> PsiSeries:
     """Coordinates of p with respect to psi_1..psi_n.
 
     The change-of-basis matrix is unit upper triangular (psi_j monic), solved
     by back-substitution with compensated accumulation.  If n is given and p
-    carries coefficients beyond mu**(n-1), they must be negligible (round-off
-    from exact cancellations upstream) or DegreeMismatch is raised.
+    carries coefficients beyond mu**(n-1), they must be negligible (at most
+    _FIT_TOL of the largest: round-off from exact cancellations upstream) or
+    DegreeMismatch is raised.
     """
     if n is None:
         n = max(p.degree + 1, 1)
@@ -259,7 +260,7 @@ def poly_to_psi(p: Poly, n: int | None = None, tol: float = 1e-9) -> PsiSeries:
         raise WrongCount("psi series length must be >= 1")
     scale = np.abs(p.coeffs).max(initial=1.0)
     for k in range(n, p.degree + 1):
-        if abs(p.coeffs[k]) > tol * scale:
+        if abs(p.coeffs[k]) > _FIT_TOL * scale:
             raise DegreeMismatch(
                 f"degree {p.degree} polynomial does not fit in psi_1..psi_{n}"
             )
@@ -370,7 +371,7 @@ def _leja_index_order(pts) -> list[int]:
     return order
 
 
-def poly_roots(p: Poly, max_iterations: int = 500) -> np.ndarray:
+def poly_roots(p: Poly) -> np.ndarray:
     """All complex roots of p with multiplicity.
 
     :func:`_aberth` started on Fujiwara's bound 2 max_k |c_k / c_deg|^(1/(deg-k)),
@@ -406,7 +407,7 @@ def poly_roots(p: Poly, max_iterations: int = 500) -> np.ndarray:
         return newton, res
 
     z = radius * np.exp(1j * (2 * np.pi * np.arange(deg) / deg + 0.39))
-    return _aberth(z, horner, max_iterations)
+    return _aberth(z, horner)
 
 
 
@@ -449,25 +450,16 @@ def pq_polynomials(p: DiscreteProblem) -> BoundaryPolys:
 def char_poly(p: DiscreteProblem) -> Poly:
     """D(mu) as a monic degree-l Poly, assembled symbolically in the psi basis.
 
-    D = psi_m * Q_{l+1} + psi_{l-m+1} * Q_0, expanded term by term with the
-    unit-coefficient product rule of psi_mul, then converted to monomials.
+    D = psi_m * Q_{l+1} + psi_{l-m+1} * Q_0, expanded term by term with
+    psi_mul, then converted to monomials.
     """
     l, m = p.l, p.m
     polys = pq_polynomials(p)
     acc = np.zeros(l + 1, dtype=complex)
-
-    def add_product(a: int, series: PsiSeries):
-        if a < 1:
-            return
-        for j in range(1, series.n + 1):
-            c = series.coeffs[j - 1]
-            if c == 0:
-                continue
-            for k in range(min(a, j)):
-                acc[a + j - 2 - 2 * k] += c
-
-    add_product(m, polys.ql1)
-    add_product(l - m + 1, polys.q0)
+    for a, series in ((m, polys.ql1), (l - m + 1, polys.q0)):
+        for j in np.flatnonzero(series.coeffs) + 1:
+            product = psi_mul(a, j).coeffs
+            acc[: len(product)] += series.coeffs[j - 1] * product
     return psi_to_poly(PsiSeries(acc))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuous import BenchmarkPotential, continuous_spectrum
-from .discrete import Spectrum, discrete_spectrum, free_lambdas, sample_problem
+from .discrete import Spectrum, _grid, discrete_spectrum, free_lambdas, sample_problem
 from .errors import FrozenArgError, WrongCount
 from .inverse import solve_symmetric
 
@@ -138,7 +138,7 @@ def error_report(
     tilde, lam_nl = result.tilde_lambda, lam_d[n - 1]
     lam_n = tilde + n * n - free_lambdas(result.l)[n - 1]
     eigen_rows = zip(n.tolist(), lam_n.tolist(), lam_nl.tolist(), tilde.tolist(), (lam_nl - tilde).tolist())
-    xs = result.h * np.arange(1, m + 1)
+    xs = _grid(result.l)[:m]
     q_true = np.asarray(pot.q(xs), dtype=float)
     result.delta_q = q_true - result.q_tilde[:m]
     potential_rows = zip(range(1, m + 1), xs.tolist(), q_true.tolist(), result.q_tilde[:m].tolist(),
@@ -148,8 +148,7 @@ def error_report(
 
 def _sampled_lambdas(pot: BenchmarkPotential, m: int) -> np.ndarray:
     """Real parts of the discrete lambda_{n,l}, n = 1..l, of pot sampled on the l = 2m-1 grid."""
-    xs = (math.pi / (2 * m)) * np.arange(1, 2 * m)
-    return discrete_spectrum(sample_problem(pot.q(xs), m)).lam.real
+    return discrete_spectrum(sample_problem(pot.q(_grid(2 * m - 1)), m)).lam.real
 
 
 def trapz_prime_sum(p_values, n: int, m: int) -> complex:

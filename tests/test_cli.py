@@ -195,13 +195,24 @@ def test_module_error_no_partial_output(tmp_path, capsys):
     assert err["error"] == "DegenerateConfiguration"
 
 
+def test_degenerate_frozen_index_outside_the_grid_exits_1(tmp_path, capsys):
+    mu_file = tmp_path / "mu.csv"
+    mu_file.write_text("# no eigenvalues\n")
+    argv = ["inverse-degenerate", "--l", "5", "--m", "6", "--mu", str(mu_file),
+            "--side", "left", "--known-w", "0.1,0.2,0.3,0.4,0.5"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "BadIndex", "message": "frozen index m=6 outside [1, 5]"}
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))], ids=["nan", "inf", "complex-nan"])
 def test_non_finite_cell_exits_1_without_output(tmp_path, capsys, monkeypatch, bad, fmt):
     def runner(config):
         return [{"n": 1, "lambda": 1.0}, {"n": 2, "lambda": bad}], {}, None
 
-    monkeypatch.setitem(cli._RUNNERS, "spectrum-continuous", runner)
+    monkeypatch.setitem(cli._COMMANDS, "spectrum-continuous", (runner, ("potential", "n-max")))
     out = tmp_path / "never.csv"
     config = RunConfig(command="spectrum-continuous", potential="zero", n_max=2, output=str(out), format=fmt)
     assert run(config) == 1
@@ -288,7 +299,7 @@ def test_flag_the_command_does_not_read_exits_2(argv, capsys):
     assert "unrecognized arguments" in err["message"]
     # the message names the command and the flags it does read
     assert err["message"].startswith(f"frozenarg {argv[0]}: ")
-    assert all(f"--{flag.strip('[]')}" in err["message"] for flag in cli._FLAGS[argv[0]])
+    assert all(f"--{flag.strip('[]')}" in err["message"] for flag in cli._COMMANDS[argv[0]][1])
 
 
 def _failing_argvs(tmp):
@@ -312,8 +323,8 @@ def _failing_argvs(tmp):
                                   "missing-mu-file", "nan-potential", "non-finite-row"])
 def test_every_failure_is_one_json_line(case, tmp_path, capsys, monkeypatch):
     # nothing on stdout, one JSON object on stderr, no output file, status 2 or 1
-    monkeypatch.setitem(cli._RUNNERS, "spectrum-continuous",
-                        lambda config: ([{"n": 1, "lambda": float("nan")}], {}, None))
+    monkeypatch.setitem(cli._COMMANDS, "spectrum-continuous",
+                        (lambda config: ([{"n": 1, "lambda": float("nan")}], {}, None), ("potential", "n-max")))
     argv, status = _failing_argvs(tmp_path)[case]
     out = tmp_path / "out.csv"
     assert main([*argv, "--output", str(out)] if argv else argv) == status
@@ -338,11 +349,11 @@ _VALUES = {"potential": "zero", "l": "4", "m": "2", "n-max": "3", "ms": "5,10",
 
 
 @pytest.mark.parametrize("command, flag", [
-    (command, flag) for command, flags in cli._FLAGS.items() for flag in flags if not flag.startswith("[")
+    (command, flag) for command, (_, flags) in cli._COMMANDS.items() for flag in flags if not flag.startswith("[")
 ])
 def test_missing_required_flag_is_named_as_typed(command, flag, capsys):
     argv = [command]
-    for other in cli._FLAGS[command]:
+    for other in cli._COMMANDS[command][1]:
         if other != flag:
             other = other.strip("[]")
             argv += ["--" + other, _VALUES[other]]
@@ -355,7 +366,7 @@ def test_readme_command_lines_parse():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]
     lines = [line.split() for line in block.splitlines() if line.startswith("frozenarg ")]
-    assert {line[1] for line in lines} == set(cli._FLAGS)
+    assert {line[1] for line in lines} == set(cli._COMMANDS)
     for line in lines:
         config = config_from_args(line[1:])
         assert config.command == line[1]

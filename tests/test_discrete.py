@@ -21,7 +21,7 @@ from frozenarg import (
     psi_poly,
     sample_problem,
 )
-from frozenarg import discrete
+from frozenarg import chebypoly, discrete
 
 
 def rand_w(rng, l):
@@ -279,22 +279,24 @@ def test_spectrum_ordering_and_affine_relation():
     assert np.array_equal(key, np.arange(12))
 
 
-def test_spectrum_iteration_cap():
+def test_spectrum_iteration_cap(monkeypatch):
     rng = np.random.default_rng(17)
     prob = DiscreteProblem.from_w(rand_w(rng, 10), 3)
+    monkeypatch.setattr(chebypoly, "_MAX_SWEEPS", 1)
     with pytest.raises(NoConvergence):
-        discrete_spectrum(prob, max_iterations=1)
+        discrete_spectrum(prob)
 
 
 @pytest.mark.parametrize("l", [64, 256, 1024])
-def test_spectrum_matches_dense_oracle(l):
+def test_spectrum_matches_dense_oracle(l, monkeypatch):
     # within the 20 sweeps the docstring states
+    monkeypatch.setattr(chebypoly, "_MAX_SWEEPS", 20)
     rng = np.random.default_rng(l)
     h = math.pi / (l + 1)
     x = h * np.arange(1, l + 1)
     q = x * (math.pi - x)
     m = l // 3
-    got = discrete_spectrum(sample_problem(q, m), max_iterations=20).mu
+    got = discrete_spectrum(sample_problem(q, m)).mu
     assert match_error(got, dense_mu(h * h * q, m)) <= 1e-10
     cases = [(rng.uniform(0, 1, l) * np.exp(2j * math.pi * rng.uniform(0, 1, l)), l // 2)]
     if l <= 256:
@@ -303,7 +305,7 @@ def test_spectrum_matches_dense_oracle(l):
         for w in (rng.uniform(-100, 100, l), one_hot, 1e-12 * rng.standard_normal(l)):
             cases += [(w, 1), (w, l)]
     for w, m in cases:
-        got = discrete_spectrum(DiscreteProblem.from_w(w, m), max_iterations=20).mu
+        got = discrete_spectrum(DiscreteProblem.from_w(w, m)).mu
         assert match_error(got, dense_mu(w, m)) <= 1e-10, m
 
 
@@ -313,12 +315,14 @@ def test_spectrum_evaluations_per_root(monkeypatch, kind, per_root):
     # beside each pole takes 6.3-6.9 l, and one without the offset off the real axis 7.4-8.4 l for real w
     aberth, points = discrete._aberth, []
 
-    def counted(z, ratio, max_iterations):
+    def counted(z, ratio):
         def counted_ratio(x):
+            # secular's buffer holds _block_rows(len(z)) points
+            assert len(x) <= chebypoly._block_rows(len(z))
             points.append(len(x))
             return ratio(x)
 
-        return aberth(z, counted_ratio, max_iterations)
+        return aberth(z, counted_ratio)
 
     monkeypatch.setattr(discrete, "_aberth", counted)
     for l in (128, 256, 384):

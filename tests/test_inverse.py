@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from frozenarg import (
+    BadIndex,
     DegenerateConfiguration,
     DegenerateData,
     DiscreteProblem,
+    InexactDivision,
     NotDegenerate,
     PsiSeries,
     SideDataMismatch,
@@ -17,6 +19,8 @@ from frozenarg import (
     discrete_spectrum,
     poly_from_roots,
     psi_to_poly,
+    psi_zeros,
+    sample_problem,
     solve_degenerate,
     solve_nondegenerate,
     solve_symmetric,
@@ -193,6 +197,26 @@ def test_degenerate_guards():
         solve_degenerate(np.zeros(3), 3, 5, DegenerateData(side="left", known_w=[0.0], d=2))
 
 
+@pytest.mark.parametrize("l, m, seed", [(47, 46, 3), (53, 52, 12)])
+def test_degenerate_result_that_misses_the_spectrum_raises(l, m, seed):
+    # without the check these return w with relative error 6.4e-2 and 2.7
+    rng = np.random.default_rng(seed)
+    w = rand_w(rng, l)
+    d = math.gcd(m, l + 1)
+    mu_reduced = strip_degenerate(dense_mu(w, m), l, m, tol=1e-6)
+    with pytest.raises(InexactDivision, match="secular weights"):
+        solve_degenerate(mu_reduced, m, l, DegenerateData(side="left", known_w=w[m - d : m - 1], d=d))
+
+
+@pytest.mark.parametrize("l, m", [(19, 5), (23, 8)])
+def test_degenerate_zero_potential_passes_the_check(l, m):
+    # w = 0 has no secular weights to scale the misfit by; the route's absolute error still passes
+    d = math.gcd(m, l + 1)
+    mu_reduced = strip_degenerate(psi_zeros(l + 1), l, m)
+    w = solve_degenerate(mu_reduced, m, l, DegenerateData(side="left", known_w=np.zeros(d - 1), d=d))
+    assert np.abs(w).max() <= 1e-7
+
+
 def test_degenerate_insensitive_to_perturbed_degenerate_inputs():
     # the excluded eigenvalues are re-synthesized from closed form, so nudging
     # them in the full spectrum cannot change the result bit for bit
@@ -303,8 +327,34 @@ def test_symmetric_random_roundtrip():
 def test_symmetric_wrong_count():
     with pytest.raises(WrongCount):
         solve_symmetric(np.zeros(4), 5)
-    with pytest.raises(WrongCount, match="m=0"):
+    with pytest.raises(BadIndex, match="m=0"):
         solve_symmetric([], 0)
+
+
+@pytest.mark.parametrize("m", [0, 6], ids=["m=0", "m=l+1"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: DiscreteProblem(l=5, m=m, w=np.zeros(5)),
+        lambda m: sample_problem(np.zeros(5), m),
+        lambda m: solve_nondegenerate(np.zeros(5), m),
+        lambda m: strip_degenerate(np.zeros(5), 5, m),
+        lambda m: solve_degenerate(np.zeros(0), m, 5, DegenerateData(side="left", known_w=np.zeros(5), d=6)),
+        lambda m: solve_degenerate(np.zeros(0), m, 5, DegenerateData(side="right", known_w=np.zeros(6), d=6)),
+    ],
+    ids=["problem", "sample", "nondegenerate", "strip", "degenerate-left", "degenerate-right"],
+)
+def test_frozen_index_outside_the_grid_raises_bad_index(call, m):
+    # l = 5: gcd(m, 6) = 6 at both ends, so no degenerate-count check can fire first
+    with pytest.raises(BadIndex, match=f"m={m} outside"):
+        call(m)
+
+
+def test_bad_index_further_outside_the_grid():
+    with pytest.raises(BadIndex):
+        strip_degenerate(np.zeros(5), 5, 7)  # gcd(7, 6) = 1 left it unchanged
+    with pytest.raises(BadIndex):
+        solve_symmetric([], -1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)], ids=["nan", "inf", "complex-nan"])
