@@ -34,6 +34,20 @@ def _check_index(m: int, l: int) -> None:
         raise BadIndex(f"frozen index m={m} outside [1, {l}]")
 
 
+def _vector(values, count: int | None, what: str) -> np.ndarray:
+    """values as a read-only 1-d complex copy.
+
+    WrongCount on an inf or NaN entry, then, unless count is None, on any other number of entries.
+    """
+    v = np.array(values, dtype=complex, ndmin=1)
+    if not np.isfinite(v).all():
+        raise WrongCount(f"{what} must be finite")
+    if count is not None and len(v) != count:
+        raise WrongCount(f"expected {count} {what}, got {len(v)}")
+    v.setflags(write=False)
+    return v
+
+
 def _grid(l: int) -> np.ndarray:
     """Interior grid points x_j = j pi/(l+1), j = 1..l."""
     return (math.pi / (l + 1)) * np.arange(1, l + 1)
@@ -51,19 +65,12 @@ class DiscreteProblem:
         if self.l < 1:
             raise WrongCount("grid size l must be >= 1")
         _check_index(self.m, self.l)
-        w = np.atleast_1d(np.asarray(self.w, dtype=complex)).copy()
-        if len(w) != self.l:
-            raise WrongCount(f"expected {self.l} coefficients, got {len(w)}")
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
-        if not np.isfinite(w).all():
-            raise WrongCount("coefficients must be finite")
+        object.__setattr__(self, "w", _vector(self.w, self.l, "coefficients"))
 
     @staticmethod
     def from_w(w, m: int) -> "DiscreteProblem":
         """Build directly from the scaled coefficients w_j."""
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        return DiscreteProblem(l=len(w), m=m, w=w)
+        return DiscreteProblem(l=np.size(w), m=m, w=w)
 
     @property
     def h(self) -> float:
@@ -83,12 +90,9 @@ class Spectrum:
     lam: np.ndarray
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=complex)).copy()
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=complex)).copy()
+        mu, lam = _vector(self.mu, None, "mu"), _vector(self.lam, None, "lambda")
         if len(mu) != len(lam):
             raise WrongCount("mu and lambda lists must have equal length")
-        mu.setflags(write=False)
-        lam.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "lam", lam)
 
@@ -102,13 +106,11 @@ class Spectrum:
 
 def sample_problem(q_values, m: int) -> DiscreteProblem:
     """Sample a potential on the grid: w_j = h^2 q_j with h = pi/(l+1)."""
-    q = np.atleast_1d(np.asarray(q_values, dtype=complex))
-    l = len(q)
+    l = np.size(q_values)
     if l < 1:
         raise WrongCount("need at least one sample")
     _check_index(m, l)
-    if not np.isfinite(q).all():  # before h^2 q, where inf + 0j turns into nan
-        raise WrongCount("coefficients must be finite")
+    q = _vector(q_values, None, "coefficients")  # finite before h^2 q, where inf + 0j turns into nan
     h = math.pi / (l + 1)
     return DiscreteProblem(l=l, m=m, w=h * h * q)
 

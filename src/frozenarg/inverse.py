@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebypoly import _read_weights, _secular_weights, _w_from_weights, psi_zeros
-from .discrete import _check_index
+from .discrete import _check_index, _vector
 from .errors import (
     DegenerateConfiguration,
     InexactDivision,
@@ -37,14 +37,6 @@ from .errors import (
     WrongCount,
 )
 from .monomial import _solve_degenerate_left
-
-
-def _finite_array(values, what: str) -> np.ndarray:
-    """values as a 1-d complex array; WrongCount if an entry is inf or NaN."""
-    values = np.atleast_1d(np.asarray(values, dtype=complex))
-    if not np.isfinite(values).all():
-        raise WrongCount(f"{what} must be finite")
-    return values
 
 
 @dataclass(frozen=True)
@@ -63,9 +55,7 @@ class DegenerateData:
     def __post_init__(self):
         if self.side not in ("left", "right"):
             raise SideDataMismatch(f"side must be 'left' or 'right', got {self.side!r}")
-        kw = _finite_array(self.known_w, "known_w").copy()
-        kw.setflags(write=False)
-        object.__setattr__(self, "known_w", kw)
+        object.__setattr__(self, "known_w", _vector(self.known_w, None, "known_w"))
         expected = self.d - 1 if self.side == "left" else self.d
         if len(self.known_w) != expected:
             raise SideDataMismatch(
@@ -86,11 +76,8 @@ def solve_nondegenerate(mu, m: int, l: int | None = None) -> np.ndarray:
     l = 64 and up to 8e-9 at l = 1024 (m near l/2) against dense eigvals, nearly all of it their
     own rounding, and up to 9e-11 at l = 1024 on spectra from discrete_spectrum.
     """
-    mu = _finite_array(mu, "eigenvalues")
-    if l is None:
-        l = len(mu)
-    if len(mu) != l:
-        raise WrongCount(f"expected {l} eigenvalues, got {len(mu)}")
+    mu = _vector(mu, l, "eigenvalues")
+    l = len(mu)
     _check_index(m, l)
     if math.gcd(m, l + 1) != 1:
         raise DegenerateConfiguration(
@@ -100,7 +87,8 @@ def solve_nondegenerate(mu, m: int, l: int | None = None) -> np.ndarray:
 
 
 def degenerate_mu(l: int, m: int) -> np.ndarray:
-    """The potential-independent eigenvalues 2 cos(pi k / d), k = 1..d-1."""
+    """The potential-independent eigenvalues 2 cos(pi k / d), k = 1..d-1, d = gcd(m, l+1)."""
+    _check_index(m, l)
     return psi_zeros(math.gcd(m, l + 1))
 
 
@@ -112,15 +100,13 @@ def strip_degenerate(mu, l: int, m: int, tol: float = 1e-8) -> np.ndarray:
     One masked argmin over the spectrum per value: O(l d), in numpy.
     """
     _check_index(m, l)
-    mu = _finite_array(mu, "eigenvalues")
-    if len(mu) != l:
-        raise WrongCount(f"expected {l} eigenvalues, got {len(mu)}")
+    mu = _vector(mu, l, "eigenvalues")
     keep = np.ones(l, dtype=bool)
     for target in degenerate_mu(l, m):
         dist = np.abs(mu - target)
         dist[~keep] = np.inf
         i = dist.argmin()
-        if dist[i] > tol:
+        if not dist[i] <= tol:  # a NaN tol raises too
             raise WrongCount(f"no eigenvalue within {tol:g} of the degenerate value {target:.6f}")
         keep[i] = False
     return mu[keep]
@@ -149,9 +135,7 @@ def solve_degenerate(mu_reduced, m: int, l: int, data: DegenerateData) -> np.nda
         raise NotDegenerate(f"gcd(m, l+1) = 1 for (l, m) = ({l}, {m}): use solve_nondegenerate")
     if data.d != d:
         raise SideDataMismatch(f"data.d = {data.d} but gcd(m, l+1) = {d}")
-    mu_reduced = _finite_array(mu_reduced, "eigenvalues")
-    if len(mu_reduced) != l - d + 1:
-        raise WrongCount(f"expected {l - d + 1} non-degenerate eigenvalues, got {len(mu_reduced)}")
+    mu_reduced = _vector(mu_reduced, l - d + 1, "non-degenerate eigenvalues")
     if data.side == "left":
         w = _solve_degenerate_left(mu_reduced, m, l, data.known_w)
     elif m + d > l:
@@ -178,8 +162,6 @@ def solve_symmetric(mu_odd, m: int) -> tuple[complex, np.ndarray]:
     dense eigvals at m = 128, 512 and 2048, and 3e-14, 3e-13 and 2e-12 on discrete_spectrum's.
     """
     _check_index(m, 2 * m - 1)
-    mu_odd = _finite_array(mu_odd, "eigenvalues")
-    if len(mu_odd) != m:
-        raise WrongCount(f"expected {m} eigenvalues, got {len(mu_odd)}")
+    mu_odd = _vector(mu_odd, m, "eigenvalues")
     w = _w_from_weights(_read_weights(mu_odd, 2 * m - 1, m, m), m)
     return complex(w[m - 1]), 2.0 * w[: m - 1]

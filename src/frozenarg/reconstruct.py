@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuous import BenchmarkPotential, continuous_spectrum
-from .discrete import Spectrum, _grid, discrete_spectrum, free_lambdas, sample_problem
+from .discrete import Spectrum, _check_index, _grid, _vector, discrete_spectrum, free_lambdas, sample_problem
 from .errors import FrozenArgError, WrongCount
 from .inverse import solve_symmetric
 
@@ -44,13 +44,14 @@ def correction(lambda_n, n, m: int):
 class ReconstructionResult:
     """Output of the correction-term reconstruction.
 
-    q_tilde covers the full grid x_1..x_l (l = 2m-1), extended from the first
-    half by the assumed symmetry; delta_q is filled by error_report when the
-    true potential is known.
+    lambdas holds the given lambda_n, n = 1, 3, .., 2m-1.  q_tilde covers the
+    full grid x_1..x_l (l = 2m-1), extended from the first half by the assumed
+    symmetry; delta_q is filled by error_report when the true potential is known.
     """
 
     m: int
     h: float
+    lambdas: np.ndarray
     tilde_lambda: np.ndarray
     mu: np.ndarray
     z: np.ndarray
@@ -69,9 +70,10 @@ def reconstruct(lambdas_odd, m: int) -> ReconstructionResult:
     the solve_symmetric output (pair sums and the middle value), scaled by
     q_j = z_j / (2 h^2) for j < m and q_m = z_m / h^2.
     """
-    lambdas_odd = np.atleast_1d(np.asarray(lambdas_odd, dtype=float))
+    lambdas_odd = np.array(lambdas_odd, dtype=float, ndmin=1)  # a copy, since the result keeps it
     if len(lambdas_odd) != m:
         raise WrongCount(f"expected {m} odd-index eigenvalues, got {len(lambdas_odd)}")
+    _check_index(m, 2 * m - 1)
     h = math.pi / (2 * m)
     tilde = correction(lambdas_odd, np.arange(1, 2 * m, 2), m)
     mu = 2.0 - h * h * tilde
@@ -82,7 +84,7 @@ def reconstruct(lambdas_odd, m: int) -> ReconstructionResult:
         raise FrozenArgError(f"imaginary residue {residue:.3e} of the recovered coordinates exceeds 1e-9")
     q_half = np.append(s.real / 2.0, wm.real) / (h * h)
     q_full = np.concatenate([q_half, q_half[: m - 1][::-1]])  # q_{l+1-j} = q_j
-    return ReconstructionResult(m=m, h=h, tilde_lambda=tilde, mu=mu, z=z, q_tilde=q_full)
+    return ReconstructionResult(m=m, h=h, lambdas=lambdas_odd, tilde_lambda=tilde, mu=mu, z=z, q_tilde=q_full)
 
 
 def reconstruct_from_potential(pot: BenchmarkPotential, m: int) -> ReconstructionResult:
@@ -136,8 +138,7 @@ def error_report(
     n = np.arange(1, 2 * m, 2)
     lam_d = _sampled_lambdas(pot, m) if discrete_oracle is None else discrete_oracle.lam.real
     tilde, lam_nl = result.tilde_lambda, lam_d[n - 1]
-    lam_n = tilde + n * n - free_lambdas(result.l)[n - 1]
-    eigen_rows = zip(n.tolist(), lam_n.tolist(), lam_nl.tolist(), tilde.tolist(), (lam_nl - tilde).tolist())
+    eigen_rows = zip(n.tolist(), result.lambdas.tolist(), lam_nl.tolist(), tilde.tolist(), (lam_nl - tilde).tolist())
     xs = _grid(result.l)[:m]
     q_true = np.asarray(pot.q(xs), dtype=float)
     result.delta_q = q_true - result.q_tilde[:m]
@@ -157,9 +158,8 @@ def trapz_prime_sum(p_values, n: int, m: int) -> complex:
     p_values are samples at x_j = j h, j = 0..m, h = pi / (2m): the discrete
     counterpart of the sine integral under the trapezoidal rule.
     """
-    p_values = np.atleast_1d(np.asarray(p_values, dtype=complex))
-    if len(p_values) != m + 1:
-        raise WrongCount(f"expected {m + 1} samples, got {len(p_values)}")
+    p_values = _vector(p_values, m + 1, "samples")
+    _check_index(m, 2 * m - 1)
     h = math.pi / (2 * m)
     x = h * np.arange(m + 1)
     weights = np.ones(m + 1)

@@ -1,0 +1,86 @@
+"""The input contract: each entry point raises one FrozenArgError subclass per kind of bad input.
+
+An inf or NaN entry and a wrong number of entries raise WrongCount (DegenerateData: a wrong
+number of known values raises SideDataMismatch), and a frozen index m outside [1, l] raises
+BadIndex, where l = 2m - 1 for reconstruct, trapz_prime_sum and solve_symmetric.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from frozenarg import (
+    BadIndex,
+    DegenerateData,
+    DiscreteProblem,
+    SideDataMismatch,
+    Spectrum,
+    WrongCount,
+    degenerate_mu,
+    reconstruct,
+    sample_problem,
+    solve_degenerate,
+    solve_nondegenerate,
+    solve_symmetric,
+    strip_degenerate,
+    trapz_prime_sum,
+)
+
+NAN = math.nan
+LEFT = DegenerateData(side="left", known_w=[0.0, 0.0], d=3)  # (l, m) = (5, 3): d = 3
+
+# (entry point, fault, call, expected subclass)
+CASES = [
+    ("DiscreteProblem", "nan", lambda: DiscreteProblem(l=3, m=1, w=[0.0, NAN, 0.0]), WrongCount),
+    ("DiscreteProblem", "count", lambda: DiscreteProblem(l=3, m=1, w=[0.0, 0.0]), WrongCount),
+    ("DiscreteProblem", "m", lambda: DiscreteProblem(l=3, m=4, w=[0.0, 0.0, 0.0]), BadIndex),
+    ("Spectrum", "nan", lambda: Spectrum(mu=[0.0, NAN], lam=[1.0, 2.0]), WrongCount),
+    ("Spectrum", "count", lambda: Spectrum(mu=[0.0, 1.0], lam=[1.0]), WrongCount),
+    ("sample_problem", "nan", lambda: sample_problem([0.0, NAN, 0.0], 1), WrongCount),
+    ("sample_problem", "count", lambda: sample_problem([], 1), WrongCount),
+    ("sample_problem", "m", lambda: sample_problem([0.0, 0.0], 3), BadIndex),
+    ("DegenerateData", "nan", lambda: DegenerateData(side="left", known_w=[0.0, NAN], d=3), WrongCount),
+    ("DegenerateData", "count", lambda: DegenerateData(side="left", known_w=[0.0], d=3), SideDataMismatch),
+    ("solve_nondegenerate", "nan", lambda: solve_nondegenerate([0.5, NAN, -0.5, 1.0], 2), WrongCount),
+    ("solve_nondegenerate", "count", lambda: solve_nondegenerate([0.5, -0.5, 1.0], 2, l=4), WrongCount),
+    ("solve_nondegenerate", "m", lambda: solve_nondegenerate([0.5, -0.5, 1.0], 4), BadIndex),
+    ("strip_degenerate", "nan", lambda: strip_degenerate([NAN, 1.0, 1.0, -1.0, 0.5], 5, 3), WrongCount),
+    ("strip_degenerate", "count", lambda: strip_degenerate([1.0, -1.0, 0.5], 5, 3), WrongCount),
+    ("strip_degenerate", "m", lambda: strip_degenerate([1.0, -1.0, 0.5, 0.0, 0.0], 5, 6), BadIndex),
+    ("strip_degenerate", "nan-tol", lambda: strip_degenerate([1.0, -1.0, 0.0, 0.5, 0.7], 5, 3, tol=NAN),
+     WrongCount),
+    ("solve_degenerate", "nan", lambda: solve_degenerate([0.5, NAN, -0.5], 3, 5, LEFT), WrongCount),
+    ("solve_degenerate", "count", lambda: solve_degenerate([0.5, -0.5], 3, 5, LEFT), WrongCount),
+    ("solve_degenerate", "m", lambda: solve_degenerate([0.5, -0.5, 0.1], 0, 5, LEFT), BadIndex),
+    ("solve_symmetric", "nan", lambda: solve_symmetric([0.5, NAN, -0.5], 3), WrongCount),
+    ("solve_symmetric", "count", lambda: solve_symmetric([0.5, -0.5], 3), WrongCount),
+    ("solve_symmetric", "m", lambda: solve_symmetric([], 0), BadIndex),
+    ("trapz_prime_sum", "nan", lambda: trapz_prime_sum([NAN] * 6, 1, 5), WrongCount),
+    ("trapz_prime_sum", "count", lambda: trapz_prime_sum(np.zeros(5), 1, 8), WrongCount),
+    ("trapz_prime_sum", "m", lambda: trapz_prime_sum([1.0], 1, 0), BadIndex),
+    ("reconstruct", "nan", lambda: reconstruct([1.0, NAN, 25.0], 3), WrongCount),
+    ("reconstruct", "count", lambda: reconstruct([1.0, 9.0], 5), WrongCount),
+    ("reconstruct", "m", lambda: reconstruct([], 0), BadIndex),
+    ("degenerate_mu", "m=0", lambda: degenerate_mu(5, 0), BadIndex),
+    ("degenerate_mu", "m=l+2", lambda: degenerate_mu(5, 7), BadIndex),
+]
+
+
+@pytest.mark.parametrize("call, error", [c[2:] for c in CASES], ids=[f"{c[0]}-{c[1]}" for c in CASES])
+def test_bad_input_raises_its_subclass(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_stored_arrays_are_read_only_copies():
+    given = np.array([0.1, 0.2, 0.3], dtype=complex)
+    stored = [
+        DiscreteProblem(l=3, m=2, w=given).w,
+        Spectrum(mu=given, lam=given).lam,
+        DegenerateData(side="right", known_w=given, d=3).known_w,
+    ]
+    given[0] = 9.0
+    for got in stored:
+        assert not got.flags.writeable
+        assert got[0] == 0.1

@@ -199,6 +199,16 @@ def test_error_report_accepts_oracle(tmp_path):
     assert a.eigen_rows == b.eigen_rows
 
 
+@pytest.mark.parametrize("m", [5, 20])
+@pytest.mark.parametrize("name", sorted(MAKERS))
+def test_error_report_lambda_n_is_the_input(name, m):
+    # the lambda_n column is the given eigenvalues, not the correction run backwards
+    pot = MAKERS[name]()
+    lams = continuous_spectrum(pot, 2 * m - 1).odd_lambdas
+    report = error_report(reconstruct(lams, m), pot)
+    assert np.array_equal([row[1] for row in report.eigen_rows], lams)
+
+
 def test_error_report_text_formatting():
     pot = quadratic_potential()
     rep = error_report(reconstruct_from_potential(pot, 5), pot)
