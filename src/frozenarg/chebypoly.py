@@ -113,8 +113,8 @@ def _product_at(nu, mu) -> np.ndarray:
     a factor in [1/2, 1) and a power of two, and the two parts are combined
     separately.  Rows are built in blocks of _block_rows(len(mu)).
 
-    The rescaling is by powers of two, so up to _RUN factors (one run) the
-    result has the same bits as the plain product.
+    Up to _RUN factors (one run) nothing can leave double range, and the plain
+    product is returned.
     """
     starts = np.arange(0, mu.size, _RUN)
     g = np.empty(nu.size, dtype=complex)
@@ -125,7 +125,11 @@ def _product_at(nu, mu) -> np.ndarray:
     for lo in range(0, nu.size, rows):
         diff = work[: min(rows, nu.size - lo)]
         diff[...] = nu[lo : lo + rows, None]
-        runs = np.multiply.reduceat(np.subtract(diff, mu, out=diff), starts, axis=1)
+        np.subtract(diff, mu, out=diff)
+        if mu.size <= _RUN:
+            g[lo : lo + rows] = np.prod(diff, axis=1)
+            continue
+        runs = np.multiply.reduceat(diff, starts, axis=1)
         _, e = np.frexp(np.abs(runs))
         scaled = np.prod(np.ldexp(runs.real, -e) + 1j * np.ldexp(runs.imag, -e), axis=1)
         e = e.sum(axis=1)

@@ -30,6 +30,8 @@ from .errors import BadIndex, FrozenArgError, WrongCount
 
 def _check_index(m: int, l: int) -> None:
     """BadIndex unless the frozen index m lies in [1, l]."""
+    if m < 1 and l < 1:  # [1, l] is empty, as under l = 2m - 1: name the bound m misses
+        raise BadIndex(f"frozen index m={m} must be at least 1")
     if not 1 <= m <= l:
         raise BadIndex(f"frozen index m={m} outside [1, {l}]")
 

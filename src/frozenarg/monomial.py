@@ -2,14 +2,12 @@
 
 The psi basis and its grid are defined in :mod:`frozenarg.chebypoly`.  Here a
 polynomial is a coefficient array, in the monomial basis (:class:`Poly`) or in
-the psi basis (:class:`PsiSeries`).  The monomial coefficients of psi_n are
-integers, exact in double precision up to n ~ 80, which several routines
-exploit.
+the psi basis (:class:`PsiSeries`).
 
-Everything here works over complex double-precision coefficients.  The basis
-conversions additionally carry a compensated (double-double) accumulation so the
-psi -> monomial -> psi round trip stays at the 1e-12 level out to n = 64, where
-plain doubles lose the low-order coordinates entirely.
+Everything here works over complex double-precision coefficients, except the basis
+conversions.  The monomial coefficients of psi_n are integers and every double is an
+integer over a power of two, so :func:`psi_to_poly` and :func:`poly_to_psi` change basis
+exactly in Python integers, at any n, and round each result once.
 
 The pipelines work on the psi grid; of them only :func:`inverse.solve_degenerate`
 comes here, for the monomial interpolation of :func:`_solve_degenerate_left`.
@@ -25,57 +23,40 @@ from typing import NamedTuple
 import numpy as np
 
 from .chebypoly import _aberth, _product_at, _psi_sin, psi_zeros
-from .discrete import DiscreteProblem
+from .discrete import DiscreteProblem, _vector
 from .errors import DegreeMismatch, DuplicateNode, InexactDivision, WrongCount
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 _DIVIDE_TOL = 1e-10  # largest remainder of an exact division, relative to the dividend
 _FIT_TOL = 1e-9  # largest coefficient poly_to_psi drops past mu^(n-1), relative to the largest
 
 
-def _two_sum(a, b):
-    """Exact a + b = s + err for doubles."""
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
-
-
-def _two_prod(a, b):
-    """Exact a * b = p + err for doubles (Dekker split, no FMA needed)."""
-    p = a * b
-    ca = _SPLITTER * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLITTER * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-
-def _dd_axpy(hi, lo, c, v, sign=1.0):
-    """In place hi+lo += sign * c * v with c scalar float, v float array."""
-    p, e = _two_prod(sign * c, v)
-    s, err = _two_sum(hi, p)
-    hi[:], lo[:] = _two_sum(s, err + lo + e)
-
-
 @lru_cache(maxsize=None)
-def _psi_coeffs(n: int) -> np.ndarray:
-    """Monomial coefficients of psi_n, ascending powers, as exact float integers."""
-    if n == 0:
-        return np.zeros(0)
-    a = np.zeros(1)
-    b = np.ones(1)
-    for _ in range(1, n):
-        c = np.zeros(len(b) + 1)
-        c[1:] += b
-        c[: len(a)] -= a
-        a, b = b, c
-    b.setflags(write=False)
-    return b
+def _psi_ints(n: int) -> tuple[int, ...]:
+    """Monomial coefficients of psi_n, ascending powers: (-1)^k C(n-1-k, k) at mu^(n-1-2k)."""
+    c = [0] * n
+    for k in range((n + 1) // 2):
+        c[n - 1 - 2 * k] = (-1) ** k * math.comb(n - 1 - k, k)
+    return tuple(c)
 
+
+def _dyadic(values, what: str) -> tuple[list[int], list[int], int]:
+    """Real and imaginary parts of values as integers over one power of two: values = (re + 1j im) / den.
+
+    WrongCount on an inf or NaN entry, which no such ratio represents.
+    """
+    v = _vector(values, None, what)
+    ratios = [x.as_integer_ratio() for x in np.concatenate([v.real, v.imag]).tolist()]
+    den = max((d for _, d in ratios), default=1)
+    nums = [a * (den // d) for a, d in ratios]
+    return nums[: len(v)], nums[len(v) :], den
+
+
+def _nearest(re: list[int], im: list[int], den: int) -> np.ndarray:
+    """The doubles nearest to (re + 1j im) / den; WrongCount where one lies beyond double range."""
+    try:
+        return np.array([complex(a / den, b / den) for a, b in zip(re, im)], dtype=complex)
+    except OverflowError:
+        raise WrongCount("coefficient beyond double range") from None
 
 
 class Poly:
@@ -84,26 +65,21 @@ class Poly:
     ``coeffs[k]`` is the coefficient of mu**k; trailing exact zeros are trimmed,
     so the zero polynomial has an empty coefficient array and degree -1.
 
-    A ``Poly`` may carry a hidden low-order compensation array (``_comp``)
-    produced by :func:`psi_to_poly`; :func:`poly_to_psi` consumes it.  The
-    visible coefficients are always the double-rounded values.
+    A ``Poly`` made by :func:`psi_to_poly` also keeps its exact coefficients
+    (``_exact``: real and imaginary integer numerators and their power-of-two
+    denominator), which :func:`poly_to_psi` reads.  The visible coefficients
+    are their nearest doubles.
     """
 
-    __slots__ = ("coeffs", "_comp")
+    __slots__ = ("coeffs", "_exact")
 
-    def __init__(self, coeffs, _comp=None):
+    def __init__(self, coeffs, _exact=None):
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         nz = np.nonzero(c)[0]
         end = nz[-1] + 1 if len(nz) else 0
         self.coeffs = c[:end].copy()
         self.coeffs.setflags(write=False)
-        if _comp is not None:
-            comp = np.zeros(end, dtype=complex)
-            comp[: min(end, len(_comp))] = np.asarray(_comp, dtype=complex)[:end]
-            comp.setflags(write=False)
-            self._comp = comp
-        else:
-            self._comp = None
+        self._exact = _exact
 
     # -- construction ----------------------------------------------------------
 
@@ -183,7 +159,6 @@ class Poly:
         return Poly(q)
 
 
-
 @dataclass(frozen=True)
 class PsiSeries:
     """Coefficients c_1..c_N of sum_j c_j psi_j (psi_j monic, degree j-1)."""
@@ -222,34 +197,26 @@ def psi_eval(n: int, mu):
 
 
 def psi_poly(n: int) -> Poly:
-    """psi_n as a monomial Poly (integer coefficients)."""
-    return Poly(_psi_coeffs(n))
-
+    """psi_n as a monomial Poly, each integer coefficient rounded to the nearest double."""
+    if n < 0:
+        raise WrongCount("psi index must be non-negative")
+    return Poly([float(c) for c in _psi_ints(n)])
 
 
 def psi_to_poly(series: PsiSeries) -> Poly:
-    """Expand a psi series into monomial coefficients (compensated)."""
-    cs = series.coeffs
-    n = len(cs)
-    hi_r = np.zeros(n)
-    lo_r = np.zeros(n)
-    hi_i = np.zeros(n)
-    lo_i = np.zeros(n)
-    for j in range(1, n + 1):
-        c = cs[j - 1]
-        if c == 0:
-            continue
-        pj = _psi_coeffs(j)
-        _dd_axpy(hi_r[:j], lo_r[:j], c.real, pj)
-        _dd_axpy(hi_i[:j], lo_i[:j], c.imag, pj)
-    return Poly(hi_r + 1j * hi_i, _comp=lo_r + 1j * lo_i)
+    """Expand a psi series into monomial coefficients, exactly; WrongCount on an inf or NaN coordinate."""
+    re, im, den = _dyadic(series.coeffs, "psi coordinates")
+    exact = (_change_basis(re, 1), _change_basis(im, 1), den)
+    return Poly(_nearest(*exact), _exact=exact)
 
 
 def poly_to_psi(p: Poly, n: int | None = None) -> PsiSeries:
     """Coordinates of p with respect to psi_1..psi_n.
 
     The change-of-basis matrix is unit upper triangular (psi_j monic), solved
-    by back-substitution with compensated accumulation.  If n is given and p
+    by back-substitution in integers, on the exact coefficients of a Poly from
+    psi_to_poly and on the visible ones otherwise; each coordinate is rounded
+    once.  An inf or NaN coefficient raises WrongCount.  If n is given and p
     carries coefficients beyond mu**(n-1), they must be negligible (at most
     _FIT_TOL of the largest: round-off from exact cancellations upstream) or
     DegreeMismatch is raised.
@@ -258,32 +225,29 @@ def poly_to_psi(p: Poly, n: int | None = None) -> PsiSeries:
         n = max(p.degree + 1, 1)
     if n < 1:
         raise WrongCount("psi series length must be >= 1")
+    re, im, den = p._exact or _dyadic(p.coeffs, "coefficients")
     scale = np.abs(p.coeffs).max(initial=1.0)
     for k in range(n, p.degree + 1):
         if abs(p.coeffs[k]) > _FIT_TOL * scale:
-            raise DegreeMismatch(
-                f"degree {p.degree} polynomial does not fit in psi_1..psi_{n}"
-            )
-    hi_r = np.zeros(n)
-    lo_r = np.zeros(n)
-    hi_i = np.zeros(n)
-    lo_i = np.zeros(n)
-    m = min(n, len(p.coeffs))
-    hi_r[:m] = p.coeffs[:m].real
-    hi_i[:m] = p.coeffs[:m].imag
-    if p._comp is not None:
-        lo_r[:m] = p._comp[:m].real
-        lo_i[:m] = p._comp[:m].imag
-    cs = np.zeros(n, dtype=complex)
-    for j in range(n, 0, -1):
-        c = complex(hi_r[j - 1] + lo_r[j - 1], hi_i[j - 1] + lo_i[j - 1])
-        cs[j - 1] = c
-        if c == 0:
-            continue
-        pj = _psi_coeffs(j)
-        _dd_axpy(hi_r[:j], lo_r[:j], c.real, pj, sign=-1.0)
-        _dd_axpy(hi_i[:j], lo_i[:j], c.imag, pj, sign=-1.0)
-    return PsiSeries(cs)
+            raise DegreeMismatch(f"degree {p.degree} polynomial does not fit in psi_1..psi_{n}")
+    pad = [0] * max(n - len(re), 0)
+    return PsiSeries(_nearest(_change_basis(re[:n] + pad, -1), _change_basis(im[:n] + pad, -1), den))
+
+
+def _change_basis(nums: list[int], sign: int) -> list[int]:
+    """psi coordinates to monomial coefficients (sign 1) or back (sign -1), exactly, in place.
+
+    The matrix is unit upper triangular, column j the coefficients of psi_j:
+    expanding runs j upwards and back-substitution downwards, so either way
+    entry j-1 is final when step j reads it.
+    """
+    for j in range(1, len(nums) + 1) if sign > 0 else range(len(nums), 0, -1):
+        c = sign * nums[j - 1]
+        if c:
+            pj = _psi_ints(j)
+            for k in range(j - 3, -1, -2):
+                nums[k] += c * pj[k]
+    return nums
 
 
 def psi_mul(a: int, b: int) -> PsiSeries:
@@ -298,7 +262,6 @@ def psi_mul(a: int, b: int) -> PsiSeries:
     for k in range(min(a, b)):
         out[a + b - 2 - 2 * k] = 1.0
     return PsiSeries(out)
-
 
 
 def poly_from_roots(roots) -> Poly:
@@ -410,7 +373,6 @@ def poly_roots(p: Poly) -> np.ndarray:
     return _aberth(z, horner)
 
 
-
 class BoundaryPolys(NamedTuple):
     """The P and Q solution families at the boundary indices 0 and l+1."""
 
@@ -446,7 +408,6 @@ def pq_polynomials(p: DiscreteProblem) -> BoundaryPolys:
     return BoundaryPolys(p0=p0, pl1=pl1, q0=PsiSeries(q0c), ql1=PsiSeries(ql1c))
 
 
-
 def char_poly(p: DiscreteProblem) -> Poly:
     """D(mu) as a monic degree-l Poly, assembled symbolically in the psi basis.
 
@@ -461,7 +422,6 @@ def char_poly(p: DiscreteProblem) -> Poly:
             product = psi_mul(a, j).coeffs
             acc[: len(product)] += series.coeffs[j - 1] * product
     return psi_to_poly(PsiSeries(acc))
-
 
 
 def _solve_degenerate_left(mu_reduced: np.ndarray, m: int, l: int, known_w: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from frozenarg import (
     NoConvergence,
     Poly,
     PsiSeries,
+    WrongCount,
     interpolate,
     poly_from_roots,
     poly_roots,
@@ -25,7 +26,7 @@ from frozenarg import (
     psi_zeros,
 )
 from frozenarg import chebypoly
-from frozenarg.chebypoly import _dst1
+from frozenarg.chebypoly import _dst1, _product_at
 
 
 def psi_int_oracle(n):
@@ -129,6 +130,45 @@ def test_conversion_roundtrip_up_to_64():
         back = poly_to_psi(psi_to_poly(PsiSeries(c)), n=n)
         err = np.max(np.abs(back.coeffs - c)) / np.max(np.abs(c))
         assert err <= 1e-12, f"n={n}: roundtrip error {err:.3e}"
+
+
+@pytest.mark.parametrize("n", [80, 96, 128])
+def test_conversion_roundtrip_is_exact(n):
+    # the exact integer coefficients ride along from psi_to_poly to poly_to_psi
+    rng = np.random.default_rng(4)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    back = poly_to_psi(psi_to_poly(PsiSeries(c)), n=n)
+    np.testing.assert_array_equal(back.coeffs, c)
+
+
+@pytest.mark.parametrize("psi", [psi_poly, lambda n: psi_eval(n, 0.5)], ids=["psi_poly", "psi_eval"])
+def test_negative_psi_index_raises(psi):
+    with pytest.raises(WrongCount, match="non-negative"):
+        psi(-2)
+
+
+@pytest.mark.parametrize("n", [90, 100, 128])
+def test_psi_poly_is_correctly_rounded(n):
+    # float(int) rounds to nearest; past 2**53 the float recurrence does not
+    want = np.array([float(c) for c in psi_int_oracle(n)])
+    np.testing.assert_array_equal(psi_poly(n).coeffs, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)], ids=["nan", "inf", "complex-inf"])
+@pytest.mark.parametrize(
+    "convert",
+    [lambda c: psi_to_poly(PsiSeries(c)), lambda c: poly_to_psi(Poly(c))],
+    ids=["psi_to_poly", "poly_to_psi"],
+)
+def test_conversions_reject_non_finite_coefficients(convert, bad):
+    with pytest.raises(WrongCount, match="must be finite"):
+        convert([1.0, bad, 2.0])
+
+
+def test_psi_to_poly_beyond_double_range_raises():
+    # the exact sum is finite, but 1e300 times the largest coefficient of psi_128 has no double
+    with pytest.raises(WrongCount, match="beyond double range"):
+        psi_to_poly(PsiSeries([0.0] * 127 + [1e300]))
 
 
 def test_poly_to_psi_degree_guard():
@@ -419,3 +459,28 @@ def test_monomial_form_lives_in_one_module():
     assert from_monomial["inverse.py"] == {"_solve_degenerate_left"}
     assert MONOMIAL_NAMES <= from_monomial["__init__.py"]
     assert not any(name.startswith("_") for name in from_monomial["__init__.py"])
+
+
+# ---------------------------------------------------------------------------
+# _product_at
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("factors", [1, 63, 64])
+def test_product_at_one_run_is_the_plain_product(factors):
+    rng = np.random.default_rng(factors)
+    nu = psi_zeros(9)
+    mu = rng.uniform(-2, 2, factors) + 1j * rng.uniform(-1, 1, factors)
+    np.testing.assert_array_equal(_product_at(nu, mu), np.prod(nu[:, None] - mu, axis=1))
+
+
+def test_product_at_stays_in_double_range_at_m_2048():
+    # prod_i (nu - mu_i) over the 2048 zeros of psi_2049 is psi_2049(nu) = sin(2049 theta) / sin(theta),
+    # of modest size, but the plain partial products leave double range
+    n = 2049
+    theta = np.pi * (np.arange(0, 2048, 97) + 0.5) / n
+    nu, mu = 2.0 * np.cos(theta), psi_zeros(n).astype(complex)
+    with np.errstate(all="ignore"):
+        assert not np.allclose(np.prod(nu[:, None] - mu, axis=1), np.sin(n * theta) / np.sin(theta))
+    got = _product_at(nu, mu)
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, np.sin(n * theta) / np.sin(theta), rtol=1e-9)

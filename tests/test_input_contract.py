@@ -67,9 +67,20 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("call, error", [c[2:] for c in CASES], ids=[f"{c[0]}-{c[1]}" for c in CASES])
-def test_bad_input_raises_its_subclass(call, error):
-    with pytest.raises(error):
+# The message of each m < 1 row: the range [1, l], or the bound m misses where l = 2m - 1 leaves the range empty
+BELOW_ONE = {
+    "solve_degenerate-m": r"frozen index m=0 outside \[1, 5\]$",
+    "solve_symmetric-m": "frozen index m=0 must be at least 1$",
+    "trapz_prime_sum-m": "frozen index m=0 must be at least 1$",
+    "reconstruct-m": "frozen index m=0 must be at least 1$",
+    "degenerate_mu-m=0": r"frozen index m=0 outside \[1, 5\]$",
+}
+IDS = [f"{c[0]}-{c[1]}" for c in CASES]
+
+
+@pytest.mark.parametrize("case, call, error", [(i, *c[2:]) for i, c in zip(IDS, CASES)], ids=IDS)
+def test_bad_input_raises_its_subclass(case, call, error):
+    with pytest.raises(error, match=BELOW_ONE.get(case)):
         call()
 
 
