@@ -25,13 +25,12 @@ import io
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import continuous, inverse
-from .discrete import _grid, discrete_spectrum, sample_problem
+from .discrete import _grid, _read_csv, discrete_spectrum, sample_problem
 from .errors import ConfigError, FrozenArgError, WrongCount
 from .reconstruct import convergence_study, error_report, reconstruct_from_potential
 
@@ -58,21 +57,15 @@ def _load_potential(name: str):
     try:
         return continuous.potential_from_csv(name)
     except WrongCount as err:
-        raise ConfigError(f"potential file {name}: {err}") from err
+        raise ConfigError(str(err)) from err
 
 
 def _load_mu(path: str) -> np.ndarray:
     try:
-        with warnings.catch_warnings():  # an empty file warns on stderr; the solvers' count checks report it
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except ValueError as err:
-        raise ConfigError(f"spectrum file {path} is not numeric CSV: {err}") from err
-    if data.shape[1] == 1:
-        return data[:, 0].astype(complex)
-    if data.shape[1] == 2:
-        return data[:, 0] + 1j * data[:, 1]
-    raise ConfigError(f"spectrum file {path} must have 1 or 2 columns")
+        data = _read_csv(path, (1, 2), f"spectrum file {path}")
+    except WrongCount as err:
+        raise ConfigError(str(err)) from err
+    return data[:, 0] + 1j * data[:, 1] if data.shape[1] == 2 else data[:, 0].astype(complex)
 
 
 def _c(z) -> dict:
@@ -111,12 +104,10 @@ def _run_inverse(config: RunConfig):
 
 
 def _run_inverse_degenerate(config: RunConfig):
-    d = math.gcd(config.m, config.l + 1)
-    data = inverse.DegenerateData(side=config.side, known_w=config.known_w, d=d)
-    mu = _load_mu(config.mu_path)
-    w = inverse.solve_degenerate(mu, config.m, config.l, data)
-    diagnostics = {"d": d, "degenerate_mu": [_c(z) for z in inverse.degenerate_mu(config.l, config.m)]}
-    return _w_rows(w, config.l), diagnostics, None
+    nu = inverse.degenerate_mu(config.l, config.m)  # (l, m) first: BadIndex before the known values
+    data = inverse.DegenerateData(side=config.side, known_w=config.known_w, d=len(nu) + 1)
+    w = inverse.solve_degenerate(_load_mu(config.mu_path), config.m, config.l, data)
+    return _w_rows(w, config.l), {"d": data.d, "degenerate_mu": [_c(z) for z in nu]}, None
 
 
 def _run_spectrum_continuous(config: RunConfig):

@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .chebypoly import _block_rows
+from .discrete import _read_csv, _vector
 from .errors import BracketFailure, FrozenArgError, NoConvergence, QuadratureFailure, WrongCount
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -71,7 +72,7 @@ def tent_potential() -> BenchmarkPotential:
     return BenchmarkPotential(
         kind="tent",
         q=lambda x: math.pi / 2 - np.abs(math.pi / 2 - np.asarray(x)),
-        p=lambda t: 2.0 * np.asarray(t, dtype=float),
+        p=lambda t: 2.0 * np.asarray(t),
     )
 
 
@@ -79,8 +80,8 @@ def constant_potential() -> BenchmarkPotential:
     """q(x) = 1; p(t) = 2."""
     return BenchmarkPotential(
         kind="constant",
-        q=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        p=lambda t: 2.0 * np.ones_like(np.asarray(t, dtype=float)),
+        q=lambda x: np.ones(np.shape(x)),
+        p=lambda t: np.full(np.shape(t), 2.0),
     )
 
 
@@ -88,8 +89,8 @@ def zero_potential() -> BenchmarkPotential:
     """q = 0; R(rho) = 2 cos(rho pi/2), zeros at every odd integer."""
     return BenchmarkPotential(
         kind="zero",
-        q=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        p=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        q=lambda x: np.zeros(np.shape(x)),
+        p=lambda t: np.zeros(np.shape(t)),
     )
 
 
@@ -111,15 +112,12 @@ def named_potential(name: str) -> BenchmarkPotential:
 
 
 def sampled_potential(x, q) -> BenchmarkPotential:
-    """Cubic-spline potential through strictly increasing samples on [0, pi]."""
-    x = np.asarray(x, dtype=float)
-    q = np.asarray(q, dtype=float)
+    """Cubic-spline potential through strictly increasing, finite, real samples on [0, pi]."""
+    x, q = _vector(x, None, "sample abscissae", real=True), _vector(q, None, "samples", real=True)
     if len(x) != len(q) or len(x) < 2:
         raise WrongCount("need matching x and q samples, at least two points")
     if np.any(np.diff(x) <= 0):
         raise WrongCount("sample abscissae must be strictly increasing")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
-        raise WrongCount("samples must be finite")
     if x[0] < -1e-12 or x[-1] > math.pi + 1e-12:
         raise WrongCount("samples must lie inside [0, pi]")
     # imported here: scipy takes about 0.6 s to import and only sampled potentials need it
@@ -135,11 +133,12 @@ def sampled_potential(x, q) -> BenchmarkPotential:
 
 
 def potential_from_csv(path) -> BenchmarkPotential:
-    """Load a two-column (x, q) CSV and build the sampled potential."""
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    if data.shape[1] != 2:
-        raise WrongCount(f"expected two columns (x, q) in {path}")
-    return sampled_potential(data[:, 0], data[:, 1])
+    """Load a two-column (x, q) CSV and build the sampled potential; every WrongCount names the file."""
+    data = _read_csv(path, (2,), f"potential file {path}")
+    try:
+        return sampled_potential(data[:, 0], data[:, 1])
+    except WrongCount as err:
+        raise WrongCount(f"potential file {path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

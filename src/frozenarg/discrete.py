@@ -20,6 +20,7 @@ so (Golub 1973; Bunch, Nielsen and Sorensen 1978)
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,18 +37,42 @@ def _check_index(m: int, l: int) -> None:
         raise BadIndex(f"frozen index m={m} outside [1, {l}]")
 
 
-def _vector(values, count: int | None, what: str) -> np.ndarray:
-    """values as a read-only 1-d complex copy.
+def _vector(values, count: int | None, what: str, real: bool = False) -> np.ndarray:
+    """values as a read-only 1-d copy: complex, or float under real=True.
 
-    WrongCount on an inf or NaN entry, then, unless count is None, on any other number of entries.
+    WrongCount on entries that are not numbers (under real, not real numbers), on more than one
+    axis, on an inf or NaN entry, then, unless count is None, on any other number of entries.
     """
-    v = np.array(values, dtype=complex, ndmin=1)
+    try:
+        if real and np.iscomplexobj(values):
+            raise TypeError
+        v = np.array(values, dtype=float if real else complex, ndmin=1)
+    except (TypeError, ValueError):
+        raise WrongCount(f"{what} must be {'real ' if real else ''}numbers") from None
+    if v.ndim != 1:
+        raise WrongCount(f"{what} must be a flat list, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise WrongCount(f"{what} must be finite")
     if count is not None and len(v) != count:
         raise WrongCount(f"expected {count} {what}, got {len(v)}")
     v.setflags(write=False)
     return v
+
+
+def _read_csv(path, columns: tuple[int, ...], what: str) -> np.ndarray:
+    """The rows of numbers of a CSV file (# comments allowed); a file without rows gives none.
+
+    WrongCount on text that is not numeric and on a column count outside columns.
+    """
+    try:
+        with warnings.catch_warnings():  # numpy warns on a file without rows; the callers' count checks report it
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except ValueError as err:
+        raise WrongCount(f"{what} is not numeric CSV: {err}") from None
+    if data.size and data.shape[1] not in columns:
+        raise WrongCount(f"{what} must have {' or '.join(map(str, columns))} columns")
+    return data if data.size else np.empty((0, columns[-1]))
 
 
 def _grid(l: int) -> np.ndarray:

@@ -53,6 +53,8 @@ class DegenerateData:
     d: int
 
     def __post_init__(self):
+        if self.d < 2:
+            raise NotDegenerate(f"d = {self.d} < 2: not degenerate, use solve_nondegenerate")
         if self.side not in ("left", "right"):
             raise SideDataMismatch(f"side must be 'left' or 'right', got {self.side!r}")
         object.__setattr__(self, "known_w", _vector(self.known_w, None, "known_w"))
@@ -78,6 +80,8 @@ def solve_nondegenerate(mu, m: int, l: int | None = None) -> np.ndarray:
     """
     mu = _vector(mu, l, "eigenvalues")
     l = len(mu)
+    if l < 1:
+        raise WrongCount("need at least one eigenvalue")
     _check_index(m, l)
     if math.gcd(m, l + 1) != 1:
         raise DegenerateConfiguration(

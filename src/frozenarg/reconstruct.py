@@ -29,15 +29,13 @@ def correction(lambda_n, n, m: int):
     Elementwise on arrays of lambda_n and n, with the free term read off
     :func:`discrete.free_lambdas`; a float for scalar arguments.
     """
-    lam, n = np.broadcast_arrays(np.asarray(lambda_n, dtype=float), np.asarray(n))
-    finite = np.isfinite(lam)
-    if not finite.all():
-        raise WrongCount(f"lambda_{n[~finite][0]} must be finite, got {lam[~finite][0]}")
+    scalar = np.ndim(lambda_n) == np.ndim(n) == 0
+    lam, n = np.broadcast_arrays(_vector(lambda_n, None, "lambda_n", real=True), np.asarray(n))
     inside = (1 <= n) & (n <= 2 * m - 1)
     if not inside.all():
         raise WrongCount(f"index n={n[~inside][0]} outside [1, {2 * m - 1}]")
     tilde = lam - n * n + free_lambdas(2 * m - 1)[n - 1]
-    return float(tilde) if tilde.ndim == 0 else tilde
+    return float(tilde[0]) if scalar else tilde
 
 
 @dataclass
@@ -70,9 +68,7 @@ def reconstruct(lambdas_odd, m: int) -> ReconstructionResult:
     the solve_symmetric output (pair sums and the middle value), scaled by
     q_j = z_j / (2 h^2) for j < m and q_m = z_m / h^2.
     """
-    lambdas_odd = np.array(lambdas_odd, dtype=float, ndmin=1)  # a copy, since the result keeps it
-    if len(lambdas_odd) != m:
-        raise WrongCount(f"expected {m} odd-index eigenvalues, got {len(lambdas_odd)}")
+    lambdas_odd = _vector(lambdas_odd, m, "odd-index eigenvalues", real=True)
     _check_index(m, 2 * m - 1)
     h = math.pi / (2 * m)
     tilde = correction(lambdas_odd, np.arange(1, 2 * m, 2), m)

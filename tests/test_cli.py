@@ -303,36 +303,51 @@ def test_flag_the_command_does_not_read_exits_2(argv, capsys):
 
 
 def _failing_argvs(tmp):
-    """Name -> (argv, exit status) of invocations that must fail."""
+    """Name -> (argv, exit status, error name) of invocations that must fail."""
     nan_csv = tmp / "nan.csv"
     nan_csv.write_text("0.0,1.0\n1.5,nan\n3.0,1.0\n")
+    text_csv = tmp / "text.csv"
+    text_csv.write_text("0.0,1.0\n1.5,abc\n3.0,1.0\n")
+    comment_csv = tmp / "comment.csv"
+    comment_csv.write_text("# x, q\n")
     degenerate = ["inverse-degenerate", "--l", "5", "--m", "3", "--mu", str(tmp / "mu.csv")]
+    known = ["--mu", str(tmp / "mu.csv"), "--side", "left", "--known-w", "0.1"]
     return {
-        "unread-flag": (["reproduce-tables", "--potential", "tent", "--m", "5"], 2),
-        "bad-choice": ([*degenerate, "--side", "middle", "--known-w", "0.1,0.2"], 2),
-        "bad-int": (["forward", "--potential", "zero", "--l", "nine", "--m", "2"], 2),
-        "no-command": ([], 2),
-        "bad-list": ([*degenerate, "--side", "left", "--known-w", "0.1,oops"], 2),
-        "missing-mu-file": (["inverse", "--l", "4", "--m", "2", "--mu", str(tmp / "missing.csv")], 1),
-        "nan-potential": (["forward", "--potential", str(nan_csv), "--l", "4", "--m", "2"], 2),
-        "non-finite-row": (["spectrum-continuous", "--potential", "zero", "--n-max", "2"], 1),
+        "unread-flag": (["reproduce-tables", "--potential", "tent", "--m", "5"], 2, "ConfigError"),
+        "bad-choice": ([*degenerate, "--side", "middle", "--known-w", "0.1,0.2"], 2, "ConfigError"),
+        "bad-int": (["forward", "--potential", "zero", "--l", "nine", "--m", "2"], 2, "ConfigError"),
+        "no-command": ([], 2, "ConfigError"),
+        "bad-list": ([*degenerate, "--side", "left", "--known-w", "0.1,oops"], 2, "ConfigError"),
+        "missing-mu-file": (["inverse", "--l", "4", "--m", "2", "--mu", str(tmp / "missing.csv")], 1, "OSError"),
+        "nan-potential": (["forward", "--potential", str(nan_csv), "--l", "4", "--m", "2"], 2, "ConfigError"),
+        "text-potential": (["forward", "--potential", str(text_csv), "--l", "4", "--m", "2"], 2, "ConfigError"),
+        "comment-potential": (["forward", "--potential", str(comment_csv), "--l", "4", "--m", "2"], 2,
+                              "ConfigError"),
+        "degenerate-m=0": (["inverse-degenerate", "--l", "4", "--m", "0", *known], 1, "BadIndex"),
+        "degenerate-m=l+3": (["inverse-degenerate", "--l", "4", "--m", "7", *known], 1, "BadIndex"),
+        "degenerate-gcd=1": (["inverse-degenerate", "--l", "4", "--m", "2", *known], 1, "NotDegenerate"),
+        "non-finite-row": (["spectrum-continuous", "--potential", "zero", "--n-max", "2"], 1, "FrozenArgError"),
     }
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
 @pytest.mark.parametrize("case", ["unread-flag", "bad-choice", "bad-int", "no-command", "bad-list",
-                                  "missing-mu-file", "nan-potential", "non-finite-row"])
+                                  "missing-mu-file", "nan-potential", "text-potential", "comment-potential",
+                                  "degenerate-m=0", "degenerate-m=l+3", "degenerate-gcd=1", "non-finite-row"])
 def test_every_failure_is_one_json_line(case, tmp_path, capsys, monkeypatch):
-    # nothing on stdout, one JSON object on stderr, no output file, status 2 or 1
+    # nothing on stdout, one JSON object on stderr naming the error, no output file, status 2 or 1
     monkeypatch.setitem(cli._COMMANDS, "spectrum-continuous",
                         (lambda config: ([{"n": 1, "lambda": float("nan")}], {}, None), ("potential", "n-max")))
-    argv, status = _failing_argvs(tmp_path)[case]
+    argv, status, error = _failing_argvs(tmp_path)[case]
     out = tmp_path / "out.csv"
     assert main([*argv, "--output", str(out)] if argv else argv) == status
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert set(json.loads(lines[0])) == {"error", "message"}
+    got = json.loads(lines[0])
+    assert set(got) == {"error", "message"}
+    assert got["error"] == error
     assert not out.exists()
 
 

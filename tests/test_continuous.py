@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -520,6 +521,19 @@ def test_sampled_potential_validation():
 def test_sampled_potential_rejects_non_finite(x, q):
     with pytest.raises(WrongCount):
         sampled_potential(x, q)
+
+
+@pytest.mark.filterwarnings("error")  # numpy warns on a file without rows unless the reader hushes it
+@pytest.mark.parametrize("text, message", [
+    ("0.0,1.0\n1.5,abc\n3.0,1.0\n", " is not numeric CSV"),
+    ("# x, q\n", ": need matching x and q samples"),
+    ("0.0,1.0,2.0\n1.0,2.0,3.0\n", " must have 2 columns"),
+], ids=["text", "comment-only", "three-columns"])
+def test_potential_from_csv_names_the_file(tmp_path, text, message):
+    path = tmp_path / "q.csv"
+    path.write_text(text)
+    with pytest.raises(WrongCount, match="^" + re.escape(f"potential file {path}{message}")):
+        potential_from_csv(path)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -1,8 +1,10 @@
 """The input contract: each entry point raises one FrozenArgError subclass per kind of bad input.
 
-An inf or NaN entry and a wrong number of entries raise WrongCount (DegenerateData: a wrong
-number of known values raises SideDataMismatch), and a frozen index m outside [1, l] raises
-BadIndex, where l = 2m - 1 for reconstruct, trapz_prime_sum and solve_symmetric.
+Entries that are not numbers (for reconstruct and sampled_potential, not real numbers), an input
+with more than one axis, an inf or NaN entry and a wrong number of entries raise WrongCount
+(DegenerateData: a wrong number of known values raises SideDataMismatch), and a frozen index m
+outside [1, l] raises BadIndex, where l = 2m - 1 for reconstruct, trapz_prime_sum and
+solve_symmetric.
 """
 
 import math
@@ -20,6 +22,7 @@ from frozenarg import (
     degenerate_mu,
     reconstruct,
     sample_problem,
+    sampled_potential,
     solve_degenerate,
     solve_nondegenerate,
     solve_symmetric,
@@ -35,6 +38,7 @@ CASES = [
     ("DiscreteProblem", "nan", lambda: DiscreteProblem(l=3, m=1, w=[0.0, NAN, 0.0]), WrongCount),
     ("DiscreteProblem", "count", lambda: DiscreteProblem(l=3, m=1, w=[0.0, 0.0]), WrongCount),
     ("DiscreteProblem", "m", lambda: DiscreteProblem(l=3, m=4, w=[0.0, 0.0, 0.0]), BadIndex),
+    ("DiscreteProblem", "2-d", lambda: DiscreteProblem(l=2, m=1, w=np.zeros((2, 2))), WrongCount),
     ("Spectrum", "nan", lambda: Spectrum(mu=[0.0, NAN], lam=[1.0, 2.0]), WrongCount),
     ("Spectrum", "count", lambda: Spectrum(mu=[0.0, 1.0], lam=[1.0]), WrongCount),
     ("sample_problem", "nan", lambda: sample_problem([0.0, NAN, 0.0], 1), WrongCount),
@@ -45,6 +49,9 @@ CASES = [
     ("solve_nondegenerate", "nan", lambda: solve_nondegenerate([0.5, NAN, -0.5, 1.0], 2), WrongCount),
     ("solve_nondegenerate", "count", lambda: solve_nondegenerate([0.5, -0.5, 1.0], 2, l=4), WrongCount),
     ("solve_nondegenerate", "m", lambda: solve_nondegenerate([0.5, -0.5, 1.0], 4), BadIndex),
+    ("solve_nondegenerate", "empty", lambda: solve_nondegenerate([], 1), WrongCount),
+    ("solve_nondegenerate", "text", lambda: solve_nondegenerate(["a", "b"], 1), WrongCount),
+    ("solve_nondegenerate", "2-d", lambda: solve_nondegenerate(np.zeros((2, 2)), 1), WrongCount),
     ("strip_degenerate", "nan", lambda: strip_degenerate([NAN, 1.0, 1.0, -1.0, 0.5], 5, 3), WrongCount),
     ("strip_degenerate", "count", lambda: strip_degenerate([1.0, -1.0, 0.5], 5, 3), WrongCount),
     ("strip_degenerate", "m", lambda: strip_degenerate([1.0, -1.0, 0.5, 0.0, 0.0], 5, 6), BadIndex),
@@ -56,12 +63,19 @@ CASES = [
     ("solve_symmetric", "nan", lambda: solve_symmetric([0.5, NAN, -0.5], 3), WrongCount),
     ("solve_symmetric", "count", lambda: solve_symmetric([0.5, -0.5], 3), WrongCount),
     ("solve_symmetric", "m", lambda: solve_symmetric([], 0), BadIndex),
+    ("solve_symmetric", "2-d", lambda: solve_symmetric([[1.0, 0.5]], 1), WrongCount),
     ("trapz_prime_sum", "nan", lambda: trapz_prime_sum([NAN] * 6, 1, 5), WrongCount),
     ("trapz_prime_sum", "count", lambda: trapz_prime_sum(np.zeros(5), 1, 8), WrongCount),
     ("trapz_prime_sum", "m", lambda: trapz_prime_sum([1.0], 1, 0), BadIndex),
     ("reconstruct", "nan", lambda: reconstruct([1.0, NAN, 25.0], 3), WrongCount),
     ("reconstruct", "count", lambda: reconstruct([1.0, 9.0], 5), WrongCount),
     ("reconstruct", "m", lambda: reconstruct([], 0), BadIndex),
+    ("reconstruct", "complex-list", lambda: reconstruct([1.0, 9.0 + 1j, 25.0], 3), WrongCount),
+    ("reconstruct", "complex-array", lambda: reconstruct(np.array([1.0, 9.0 + 1j, 25.0]), 3), WrongCount),
+    ("sampled_potential", "scalar", lambda: sampled_potential(1.0, 2.0), WrongCount),
+    ("sampled_potential", "2-d", lambda: sampled_potential([[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [2.0, 3.0]]),
+     WrongCount),
+    ("sampled_potential", "complex", lambda: sampled_potential([0.0, 1.0, 2.0], [1.0, 1j, 0.0]), WrongCount),
     ("degenerate_mu", "m=0", lambda: degenerate_mu(5, 0), BadIndex),
     ("degenerate_mu", "m=l+2", lambda: degenerate_mu(5, 7), BadIndex),
 ]
