@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, asdict
 
@@ -54,6 +55,8 @@ class RunConfig:
 def _load_potential(name: str):
     if name in continuous._NAMED_POTENTIALS:
         return continuous.named_potential(name)
+    if not os.path.exists(name):
+        raise ConfigError(f"--potential {name!r} is neither a file nor one of {sorted(continuous._NAMED_POTENTIALS)}")
     try:
         return continuous.potential_from_csv(name)
     except WrongCount as err:

@@ -120,16 +120,58 @@ def sampled_potential(x, q) -> BenchmarkPotential:
         raise WrongCount("sample abscissae must be strictly increasing")
     if x[0] < -1e-12 or x[-1] > math.pi + 1e-12:
         raise WrongCount("samples must lie inside [0, pi]")
-    # imported here: scipy takes about 0.6 s to import and only sampled potentials need it
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(x, q)
+    spline = _not_a_knot_spline(x, q)
     return BenchmarkPotential(
         kind="sampled",
         q=spline,
         p=lambda t: spline(np.asarray(t)) + spline(math.pi - np.asarray(t)),
         samples=np.column_stack([x, q]),
     )
+
+
+def _not_a_knot_spline(x, y) -> Callable:
+    """The not-a-knot cubic spline through (x, y): C2, and one cubic on [x[0], x[2]] and on [x[-3], x[-1]].
+
+    The knot slopes solve one tridiagonal system by elimination without
+    pivoting; its end rows ask for a continuous third derivative at x[1] and
+    x[-2].  Two or three knots give the line or the parabola through them.
+    Each piece is the cubic Hermite interpolant of its end values and
+    slopes.  The returned callable takes scalars or arrays and extends the
+    end pieces beyond [x[0], x[-1]].
+    """
+    n, dx = len(x), np.diff(x)
+    slope = np.diff(y) / dx
+    if n <= 3:  # s = p'(x) for the line or parabola p through the knots; p''/2 is the second divided difference
+        half_p2 = (slope[-1] - slope[0]) / (x[-1] - x[0])
+        s = slope[0] + half_p2 * (2.0 * x - x[0] - x[1])
+    else:
+        end0, end1 = x[2] - x[0], x[-1] - x[-3]
+        lower = [0.0, *dx[1:].tolist(), end1]
+        diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
+        upper = [end0, *dx[:-1].tolist()]
+        s = [((dx[0] + 2.0 * end0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / end0,
+             *(3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(),
+             (dx[-1] ** 2 * slope[-2] + (2.0 * end1 + dx[-1]) * dx[-2] * slope[-1]) / end1]
+        for i in range(1, n):
+            w = lower[i] / diag[i - 1]
+            diag[i] -= w * upper[i - 1]
+            s[i] -= w * s[i - 1]
+        s[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+        s = np.array(s)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    coeffs = np.array([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+    inner = x[1:-1]
+
+    def spline(u):
+        u = np.asarray(u)
+        i = inner.searchsorted(u, side="right")  # the piece of u, an end piece outside [x[0], x[-1]]
+        h = u - x.take(i)
+        a, b, c, d = coeffs.take(i, axis=1)
+        return ((a * h + b) * h + c) * h + d
+
+    return spline
 
 
 def potential_from_csv(path) -> BenchmarkPotential:

@@ -40,15 +40,17 @@ def _check_index(m: int, l: int) -> None:
 def _vector(values, count: int | None, what: str, real: bool = False) -> np.ndarray:
     """values as a read-only 1-d copy: complex, or float under real=True.
 
-    WrongCount on entries that are not numbers (under real, not real numbers), on more than one
-    axis, on an inf or NaN entry, then, unless count is None, on any other number of entries.
+    WrongCount on entries that are not numbers (under real, not real numbers), text and None
+    among them, on more than one axis, on an inf or NaN entry, then, unless count is None, on
+    any other number of entries.
     """
     try:
-        if real and np.iscomplexobj(values):
+        v = np.asarray(values)
+        if v.dtype.kind not in ("biuf" if real else "biufc"):  # bool, int, unsigned, float, complex
             raise TypeError
-        v = np.array(values, dtype=float if real else complex, ndmin=1)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError):  # ValueError: a ragged list
         raise WrongCount(f"{what} must be {'real ' if real else ''}numbers") from None
+    v = np.array(v, dtype=float if real else complex, ndmin=1)
     if v.ndim != 1:
         raise WrongCount(f"{what} must be a flat list, got shape {v.shape}")
     if not np.isfinite(v).all():

@@ -229,8 +229,12 @@ def test_config_error_missing_flag(capsys):
 
 
 def test_unknown_potential_file(tmp_path, capsys):
-    code = run(RunConfig(command="forward", potential=str(tmp_path / "missing.csv"), l=3, m=1))
-    assert code == 1
+    # a --potential that is neither a named potential nor a file is a config error naming the four names
+    missing = str(tmp_path / "missing.csv")
+    assert run(RunConfig(command="forward", potential=missing, l=3, m=1)) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ConfigError", "message": f"--potential {missing!r} is neither a file nor one of "
+                                                      "['constant', 'quadratic', 'tent', 'zero']"}
 
 
 def test_main_parses_and_runs(tmp_path, capsys):
@@ -318,6 +322,7 @@ def _failing_argvs(tmp):
         "bad-int": (["forward", "--potential", "zero", "--l", "nine", "--m", "2"], 2, "ConfigError"),
         "no-command": ([], 2, "ConfigError"),
         "bad-list": ([*degenerate, "--side", "left", "--known-w", "0.1,oops"], 2, "ConfigError"),
+        "misspelt-potential": (["forward", "--potential", "quadratc", "--l", "4", "--m", "2"], 2, "ConfigError"),
         "missing-mu-file": (["inverse", "--l", "4", "--m", "2", "--mu", str(tmp / "missing.csv")], 1, "OSError"),
         "nan-potential": (["forward", "--potential", str(nan_csv), "--l", "4", "--m", "2"], 2, "ConfigError"),
         "text-potential": (["forward", "--potential", str(text_csv), "--l", "4", "--m", "2"], 2, "ConfigError"),
@@ -332,8 +337,9 @@ def _failing_argvs(tmp):
 
 @pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
 @pytest.mark.parametrize("case", ["unread-flag", "bad-choice", "bad-int", "no-command", "bad-list",
-                                  "missing-mu-file", "nan-potential", "text-potential", "comment-potential",
-                                  "degenerate-m=0", "degenerate-m=l+3", "degenerate-gcd=1", "non-finite-row"])
+                                  "misspelt-potential", "missing-mu-file", "nan-potential", "text-potential",
+                                  "comment-potential", "degenerate-m=0", "degenerate-m=l+3", "degenerate-gcd=1",
+                                  "non-finite-row"])
 def test_every_failure_is_one_json_line(case, tmp_path, capsys, monkeypatch):
     # nothing on stdout, one JSON object on stderr naming the error, no output file, status 2 or 1
     monkeypatch.setitem(cli._COMMANDS, "spectrum-continuous",

@@ -510,6 +510,29 @@ def test_sampled_potential_csv_roundtrip(tmp_path):
     assert np.max(np.abs(spec.odd_lambdas - ref.odd_lambdas)) < 1e-4
 
 
+def spline_knots(n, uniform):
+    """n knots on [0, pi], evenly spaced or spreading out from 0.1 to 3.0, with seeded values in [-1, 2]."""
+    k = np.linspace(0.0, 1.0, n)
+    x = math.pi * k if uniform else 0.1 + 2.9 * k**1.5
+    return x, np.random.default_rng(n).uniform(-1.0, 2.0, n)
+
+
+SPLINES = {f"{n}-{kind}": spline_knots(n, kind == "uniform")
+           for n in (2, 3, 4, 41) for kind in ("uniform", "nonuniform")}
+SPLINES["KNOTS-1+cos2x"] = (KNOTS, 1.0 + np.cos(2.0 * KNOTS))  # KNOTS is also the benchmark's 41-knot grid
+SPLINES["rough-202"] = rough_spline()
+
+
+@pytest.mark.parametrize("knots", SPLINES)
+def test_spline_matches_scipy(knots):
+    # the not-a-knot spline is scipy's default CubicSpline: same values at the knots, the
+    # midpoints and just outside [x[0], x[-1]], where both extend the end pieces
+    x, qk = SPLINES[knots]
+    t = np.concatenate([x, 0.5 * (x[:-1] + x[1:]), [x[0] - 0.01, x[-1] + 0.01]])
+    want = CubicSpline(x, qk)(t)
+    assert np.abs(sampled_potential(x, qk).q(t) - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_sampled_potential_validation():
     with pytest.raises(WrongCount):
         sampled_potential([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
@@ -537,11 +560,26 @@ def test_potential_from_csv_names_the_file(tmp_path, text, message):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.interpolate is imported by sampled_potential alone; it dominates CLI start-up
+    # the package needs numpy alone; scipy is a test oracle, and its import would dominate CLI start-up
     src = os.path.dirname(os.path.dirname(frozenarg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, frozenarg; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_csv_potential_runs_without_scipy(tmp_path):
+    # with every scipy import blocked, a CSV potential still gives its spectrum and the CLI reconstructs from it
+    path = tmp_path / "q.csv"
+    np.savetxt(path, np.column_stack([KNOTS, KNOTS * (math.pi - KNOTS)]), delimiter=",")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(frozenarg.__file__)))
+    block = "import sys; sys.modules['scipy'] = None; "
+    codes = [
+        f"from frozenarg import *; continuous_spectrum(potential_from_csv({str(path)!r}), 5)",
+        f"from frozenarg.cli import main; sys.exit(main(['reconstruct', '--potential', {str(path)!r}, '--m', '5']))",
+    ]
+    for code in codes:
+        proc = subprocess.run([sys.executable, "-c", block + code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """The input contract: each entry point raises one FrozenArgError subclass per kind of bad input.
 
-Entries that are not numbers (for reconstruct and sampled_potential, not real numbers), an input
-with more than one axis, an inf or NaN entry and a wrong number of entries raise WrongCount
-(DegenerateData: a wrong number of known values raises SideDataMismatch), and a frozen index m
-outside [1, l] raises BadIndex, where l = 2m - 1 for reconstruct, trapz_prime_sum and
-solve_symmetric.
+Entries that are not numbers (for reconstruct and sampled_potential, not real numbers; text and
+None among them), an input with more than one axis, an inf or NaN entry and a wrong number of
+entries raise WrongCount (DegenerateData: a wrong number of known values raises
+SideDataMismatch), and a frozen index m outside [1, l] raises BadIndex, where l = 2m - 1 for
+reconstruct, trapz_prime_sum and solve_symmetric.
 """
 
 import math
@@ -51,6 +51,7 @@ CASES = [
     ("solve_nondegenerate", "m", lambda: solve_nondegenerate([0.5, -0.5, 1.0], 4), BadIndex),
     ("solve_nondegenerate", "empty", lambda: solve_nondegenerate([], 1), WrongCount),
     ("solve_nondegenerate", "text", lambda: solve_nondegenerate(["a", "b"], 1), WrongCount),
+    ("solve_nondegenerate", "none", lambda: solve_nondegenerate(None, 1), WrongCount),
     ("solve_nondegenerate", "2-d", lambda: solve_nondegenerate(np.zeros((2, 2)), 1), WrongCount),
     ("strip_degenerate", "nan", lambda: strip_degenerate([NAN, 1.0, 1.0, -1.0, 0.5], 5, 3), WrongCount),
     ("strip_degenerate", "count", lambda: strip_degenerate([1.0, -1.0, 0.5], 5, 3), WrongCount),
@@ -72,29 +73,33 @@ CASES = [
     ("reconstruct", "m", lambda: reconstruct([], 0), BadIndex),
     ("reconstruct", "complex-list", lambda: reconstruct([1.0, 9.0 + 1j, 25.0], 3), WrongCount),
     ("reconstruct", "complex-array", lambda: reconstruct(np.array([1.0, 9.0 + 1j, 25.0]), 3), WrongCount),
+    ("reconstruct", "text", lambda: reconstruct(["1.0", "9.0", "25.0"], 3), WrongCount),
     ("sampled_potential", "scalar", lambda: sampled_potential(1.0, 2.0), WrongCount),
     ("sampled_potential", "2-d", lambda: sampled_potential([[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [2.0, 3.0]]),
      WrongCount),
     ("sampled_potential", "complex", lambda: sampled_potential([0.0, 1.0, 2.0], [1.0, 1j, 0.0]), WrongCount),
+    ("sampled_potential", "text", lambda: sampled_potential(["0", "1", "2"], [1, 2, 3]), WrongCount),
     ("degenerate_mu", "m=0", lambda: degenerate_mu(5, 0), BadIndex),
     ("degenerate_mu", "m=l+2", lambda: degenerate_mu(5, 7), BadIndex),
 ]
 
 
-# The message of each m < 1 row: the range [1, l], or the bound m misses where l = 2m - 1 leaves the range empty
-BELOW_ONE = {
+# Messages where the subclass alone does not show the fault: each m < 1 row names the range [1, l], or the
+# bound m misses where l = 2m - 1 leaves the range empty; None is no numbers, not a non-finite entry
+MESSAGES = {
     "solve_degenerate-m": r"frozen index m=0 outside \[1, 5\]$",
     "solve_symmetric-m": "frozen index m=0 must be at least 1$",
     "trapz_prime_sum-m": "frozen index m=0 must be at least 1$",
     "reconstruct-m": "frozen index m=0 must be at least 1$",
     "degenerate_mu-m=0": r"frozen index m=0 outside \[1, 5\]$",
+    "solve_nondegenerate-none": "eigenvalues must be numbers$",
 }
 IDS = [f"{c[0]}-{c[1]}" for c in CASES]
 
 
 @pytest.mark.parametrize("case, call, error", [(i, *c[2:]) for i, c in zip(IDS, CASES)], ids=IDS)
 def test_bad_input_raises_its_subclass(case, call, error):
-    with pytest.raises(error, match=BELOW_ONE.get(case)):
+    with pytest.raises(error, match=MESSAGES.get(case)):
         call()
 
 
