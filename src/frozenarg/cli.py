@@ -11,8 +11,9 @@ reproduce-tables     the three benchmark tables (quadratic, tent, constant)
 convergence          empirical correction-error orders across grids
 
 Spectra files are plain CSV, one eigenvalue per row as ``re`` or ``re,im``
-(# comments allowed).  Output is CSV or JSON; without --output the rendered
-text goes to stdout.  All computations are deterministic, so identical
+(# comments allowed).  Output is CSV or JSON; without --output it goes to
+stdout, where under CSV the commands with a text table print the table
+instead (and with --output print it too).  All computations are deterministic, so identical
 configurations produce byte-identical files.
 """
 
@@ -238,11 +239,10 @@ def run(config: RunConfig) -> int:
                 raise ConfigError(f"command {config.command!r} requires --{flag}")
         rows, diagnostics, text = runner(config)
         _require_finite(rows)
-        rendered = (
-            _render_json(config, rows, diagnostics)
-            if config.format == "json"
-            else _render_csv(rows)
-        )
+        if config.format == "json":  # no text table: stdout carries the JSON object, or nothing under --output
+            rendered, text = _render_json(config, rows, diagnostics), None
+        else:
+            rendered = _render_csv(rows)
         if config.output:
             with open(config.output, "w") as fh:
                 fh.write(rendered)

@@ -74,11 +74,12 @@ class Poly:
     __slots__ = ("coeffs", "_exact")
 
     def __init__(self, coeffs, _exact=None):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-        nz = np.nonzero(c)[0]
-        end = nz[-1] + 1 if len(nz) else 0
-        self.coeffs = c[:end].copy()
-        self.coeffs.setflags(write=False)
+        c = np.array(coeffs, dtype=complex, ndmin=1)
+        if len(c) and c[-1] == 0:  # scan for the last nonzero only when there are zeros to trim
+            nz = np.flatnonzero(c)
+            c = c[: nz[-1] + 1 if len(nz) else 0]
+        c.setflags(write=False)
+        self.coeffs = c
         self._exact = _exact
 
     # -- construction ----------------------------------------------------------
@@ -196,11 +197,15 @@ def psi_eval(n: int, mu):
     return b if b.ndim else complex(b)
 
 
+@lru_cache(maxsize=256)
 def psi_poly(n: int) -> Poly:
-    """psi_n as a monomial Poly, each integer coefficient rounded to the nearest double."""
+    """psi_n as a monomial Poly, each integer coefficient rounded to the nearest double.
+
+    WrongCount where a coefficient lies beyond double range, from n = 1484.
+    """
     if n < 0:
         raise WrongCount("psi index must be non-negative")
-    return Poly([float(c) for c in _psi_ints(n)])
+    return Poly(_nearest(list(_psi_ints(n)), [0] * n, 1))
 
 
 def psi_to_poly(series: PsiSeries) -> Poly:
@@ -265,19 +270,18 @@ def psi_mul(a: int, b: int) -> PsiSeries:
 
 
 def poly_from_roots(roots) -> Poly:
-    """Monic Poly with the given roots (multiset).
+    """Monic Poly with the given roots (multiset); WrongCount unless they are finite numbers.
 
-    The product is accumulated with conjugate roots adjacent, so conjugate-
-    symmetric inputs keep the running product near-real and the final
-    coefficients real to ~1e-12.
+    The product is accumulated with the roots sorted by (real part, |imag|, imag),
+    so conjugate roots are adjacent, conjugate-symmetric inputs keep the running
+    product near-real and the final coefficients come out real to ~1e-12.
     """
-    c = np.ones(1, dtype=complex)
-    for r in sorted((complex(r) for r in roots), key=lambda z: (z.real, abs(z.imag), z.imag)):
-        nxt = np.zeros(len(c) + 1, dtype=complex)
-        nxt[1:] += c
-        nxt[:-1] -= r * c
-        c = nxt
-    return Poly(c)
+    r = _vector(roots, None, "roots")
+    c = np.zeros(len(r) + 1, dtype=complex)  # descending powers: c[0] leads
+    c[0] = 1.0
+    for k, z in enumerate(r[np.lexsort((r.imag, np.abs(r.imag), r.real))]):
+        c[1 : k + 2] -= z * c[: k + 1]  # times (mu - z)
+    return Poly(c[::-1])
 
 
 def interpolate(nodes, values) -> Poly:
@@ -285,52 +289,57 @@ def interpolate(nodes, values) -> Poly:
 
     Newton divided differences on Leja-ordered nodes; the natural node sets
     2 cos(pi k / n) cluster at +-2 and lose digits beyond n ~ 30 without the
-    reordering.
+    reordering.  WrongCount unless nodes and values are equally many finite
+    numbers; DuplicateNode, naming the first pair, where two nodes lie within 1e-14.
     """
-    nodes = [complex(x) for x in nodes]
-    values = [complex(v) for v in values]
-    if len(nodes) != len(values):
-        raise WrongCount("nodes and values must have equal length")
+    nodes = _vector(nodes, None, "nodes")
     n = len(nodes)
+    values = _vector(values, n, "values")
     if n == 0:
         return Poly.zero()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(nodes[i] - nodes[j]) <= 1e-14:
-                raise DuplicateNode(f"nodes {i} and {j} coincide")
+    close = np.triu(np.abs(nodes[:, None] - nodes) <= 1e-14, 1)
+    if close.any():
+        i, j = np.argwhere(close)[0]
+        raise DuplicateNode(f"nodes {i} and {j} coincide")
     order = _leja_index_order(nodes)
-    xs = [nodes[i] for i in order]
-    dd = [values[i] for i in order]
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
-    # Horner on the Newton form
-    c = np.array([dd[n - 1]], dtype=complex)
+    xs, dd = nodes[order], values[order]
+    if xs.imag.any():
+        for k in range(1, n):  # dd[k:] becomes the order-k divided differences
+            dd[k:] = (dd[k:] - dd[k - 1 : -1]) / (xs[k:] - xs[:-k])
+    else:  # real nodes: both parts over the real difference, which is how Python's x / (h + 0j) rounds
+        parts, x = dd.view(float).reshape(n, 2), xs.real
+        for k in range(1, n):
+            parts[k:] = (parts[k:] - parts[k - 1 : -1]) / (x[k:] - x[:-k])[:, None]
+    # Horner on the Newton form, descending powers: c[0] leads
+    c = np.zeros(n, dtype=complex)
+    c[0] = dd[n - 1]
     for k in range(n - 2, -1, -1):
-        nxt = np.zeros(len(c) + 1, dtype=complex)
-        nxt[1:] += c
-        nxt[:-1] -= xs[k] * c
-        nxt[0] += dd[k]
-        c = nxt
-    return Poly(c)
+        top = n - 1 - k  # c[:top] holds the degree top-1 partial sum; times (mu - xs[k]), plus dd[k]
+        c[1 : top + 1] -= xs[k] * c[:top]
+        c[top] += dd[k]
+    return Poly(c[::-1])
 
 
 def _leja_index_order(pts) -> list[int]:
+    """Leja order of pts: the largest |pts| first, then each next the point whose product of
+    distances to those before is largest, the first index on a tie."""
+    pts = np.asarray(pts, dtype=complex)
     n = len(pts)
     if n == 0:
         return []
-    order = [max(range(n), key=lambda i: abs(pts[i]))]
-    rest = set(range(n)) - {order[0]}
-    # accumulate the distance products in logs to dodge under/overflow
-    logd = {i: 0.0 for i in rest}
-    while rest:
-        last = pts[order[-1]]
-        for i in rest:
-            d = abs(pts[i] - last)
-            logd[i] += np.log(d) if d > 0 else -np.inf
-        best = max(rest, key=lambda i: logd[i])
+    with np.errstate(divide="ignore"):  # a coincident pair is log 0 = -inf
+        logdist = np.log(np.abs(pts[:, None] - pts))
+    order = [int(np.abs(pts).argmax())]
+    left = np.ones(n, dtype=bool)
+    left[order[0]] = False
+    logd = np.zeros(n)  # log of the distance products, which would under- or overflow
+    for _ in range(n - 1):
+        logd += logdist[order[-1]]  # -inf at order[-1] itself, so a chosen point never wins again
+        best = int(logd.argmax())
+        if not left[best]:  # every point left coincides with a chosen one: take the first
+            best = int(left.argmax())
         order.append(best)
-        rest.discard(best)
+        left[best] = False
     return order
 
 

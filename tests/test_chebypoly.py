@@ -25,7 +25,7 @@ from frozenarg import (
     psi_to_poly,
     psi_zeros,
 )
-from frozenarg import chebypoly
+from frozenarg import chebypoly, monomial
 from frozenarg.chebypoly import _dst1, _product_at
 
 
@@ -250,6 +250,17 @@ def test_poly_from_roots_conjugate_symmetric_real_coeffs():
     assert np.max(np.abs(p.coeffs.imag)) <= 1e-12 * scale
 
 
+def test_poly_from_roots_multiplies_in_sorted_order():
+    # sorted by (real part, |imag|, imag): conjugates adjacent, also among roots that share a real part
+    rng = np.random.default_rng(5)
+    zs = rng.choice([-0.5, 0.25], 6) + 1j * rng.uniform(0.1, 1.5, 6)
+    roots = rng.permutation(np.concatenate([zs, zs.conj(), [0.25, -1.0]]))
+    want = np.ones(1, dtype=complex)
+    for r in sorted(roots.tolist(), key=lambda z: (z.real, abs(z.imag), z.imag)):
+        want = np.append(want, 0) - np.append(0, r * want)
+    np.testing.assert_array_equal(poly_from_roots(roots).coeffs, want[::-1])
+
+
 # ---------------------------------------------------------------------------
 # interpolation
 # ---------------------------------------------------------------------------
@@ -293,8 +304,78 @@ def test_interpolate_property_up_to_degree_20():
 
 
 def test_interpolate_duplicate_node():
-    with pytest.raises(DuplicateNode):
-        interpolate([1.0, 1.0 + 1e-16], [0.0, 1.0])
+    with pytest.raises(DuplicateNode, match="nodes 1 and 3 coincide"):
+        interpolate([0.0, 1.0, 2.0, 1.0 + 1e-16, 2.0], [0.0, 1.0, 2.0, 3.0, 4.0])
+
+
+def leja_reference(pts):
+    """Leja order with a dict of log distance products, one scalar log per pair."""
+    n = len(pts)
+    order = [max(range(n), key=lambda i: abs(pts[i]))]
+    rest = set(range(n)) - {order[0]}
+    logd = {i: 0.0 for i in rest}
+    while rest:
+        last = pts[order[-1]]
+        for i in rest:
+            logd[i] += math.log(abs(pts[i] - last))
+        best = max(sorted(rest), key=logd.__getitem__)
+        order.append(best)
+        rest.discard(best)
+    return order
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_leja_order_matches_the_scalar_reference(seed):
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 5, 17, 40, 64):
+        pts = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+        assert monomial._leja_index_order(pts) == leja_reference(list(pts)), n
+
+
+def test_leja_order_takes_the_first_coincident_point_last():
+    assert monomial._leja_index_order([1.0, 1.0, 0.0]) == [0, 2, 1]
+    assert monomial._leja_index_order([2.0, 2.0, 2.0]) == [0, 1, 2]
+
+
+def interpolate_reference(nodes, values):
+    """Newton divided differences on Python complex scalars in Leja order, then Horner's rule on arrays."""
+    order = leja_reference([complex(x) for x in nodes])
+    xs, dd = [complex(nodes[i]) for i in order], [complex(values[i]) for i in order]
+    n = len(xs)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+    c = np.array([dd[n - 1]])
+    for k in range(n - 2, -1, -1):
+        nxt = np.zeros(len(c) + 1, dtype=complex)
+        nxt[1:] += c
+        nxt[:-1] -= xs[k] * c
+        nxt[0] += dd[k]
+        c = nxt
+    return c
+
+
+@pytest.mark.parametrize("deg", [5, 12, 20])
+def test_interpolate_matches_the_scalar_loop(deg):
+    # the node sets of acceptance criterion 8, with real and with complex values; on real nodes the
+    # coefficients agree bit for bit, which keeps solve_degenerate's results as the scalar loop gave them
+    rng = np.random.default_rng(deg)
+    nodes = 2 * np.cos(np.pi * np.arange(1, deg + 2) / (deg + 2))
+    for coords in (rng.standard_normal(deg + 1), rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)):
+        values = psi_to_poly(PsiSeries(coords))(nodes)
+        want = interpolate_reference(nodes, values)
+        np.testing.assert_array_equal(interpolate(nodes, values).coeffs, want)
+
+
+@pytest.mark.parametrize("n", [6, 13, 21])
+def test_interpolate_on_complex_nodes_is_near_the_scalar_loop(n):
+    # numpy's complex division rounds unlike Python's; on the unit circle, where the monomial
+    # basis is well conditioned, the coefficients stay within 1e-14 relative
+    rng = np.random.default_rng(n)
+    nodes = np.exp(2j * np.pi * (np.arange(n) + 0.3) / n)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = interpolate_reference(nodes, values)
+    assert np.max(np.abs(interpolate(nodes, values).coeffs - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +485,19 @@ def test_zero_poly_degree_convention():
 
 
 def test_trailing_zeros_trimmed():
-    p = Poly([1.0, 2.0, 0.0, 0.0])
+    given = np.array([1.0, 2.0, 0.0, 0.0], dtype=complex)
+    p = Poly(given)
     assert p.degree == 1
     assert len(p.coeffs) == 2
+    given[0] = 9.0
+    assert p.coeffs[0] == 1.0 and not p.coeffs.flags.writeable
+    assert Poly([0.0, 0.0]).degree == -1
+
+
+def test_psi_poly_is_one_cached_read_only_poly():
+    p = psi_poly(7)
+    assert psi_poly(7) is p and not p.coeffs.flags.writeable
+    assert psi_poly.cache_info().maxsize is not None  # bounded
 
 
 def test_psi_series_leading_coefficient_is_top_monomial():

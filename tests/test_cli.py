@@ -164,6 +164,23 @@ def test_convergence_order_measured_on_one_grid_exits_1(capsys):
     assert "n = 3" in err["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--potential", "zero", "--m", "2"],
+    ["reproduce-tables", "--m", "2"],
+    ["convergence", "--potential", "quadratic", "--ms", "5,10"],
+], ids=lambda argv: argv[0])
+def test_json_format_on_stdout_is_the_object(argv, tmp_path, capsys):
+    # the commands with a text table print it only for CSV: under --format json stdout is the JSON
+    # object, or nothing when --output takes it
+    assert main([*argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["command"] == argv[0] and payload["rows"]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--format", "json", "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["rows"] == payload["rows"]
+
+
 def test_json_schema_keys(tmp_path):
     out = tmp_path / "fwd.json"
     run(RunConfig(command="forward", potential="zero", l=3, m=1, format="json", output=str(out)))

@@ -4,7 +4,8 @@ Entries that are not numbers (for reconstruct and sampled_potential, not real nu
 None among them), an input with more than one axis, an inf or NaN entry and a wrong number of
 entries raise WrongCount (DegenerateData: a wrong number of known values raises
 SideDataMismatch), and a frozen index m outside [1, l] raises BadIndex, where l = 2m - 1 for
-reconstruct, trapz_prime_sum and solve_symmetric.
+reconstruct, trapz_prime_sum and solve_symmetric.  psi_poly(n) raises WrongCount where a
+coefficient of psi_n lies beyond double range.
 """
 
 import math
@@ -20,6 +21,9 @@ from frozenarg import (
     Spectrum,
     WrongCount,
     degenerate_mu,
+    interpolate,
+    poly_from_roots,
+    psi_poly,
     reconstruct,
     sample_problem,
     sampled_potential,
@@ -79,6 +83,12 @@ CASES = [
      WrongCount),
     ("sampled_potential", "complex", lambda: sampled_potential([0.0, 1.0, 2.0], [1.0, 1j, 0.0]), WrongCount),
     ("sampled_potential", "text", lambda: sampled_potential(["0", "1", "2"], [1, 2, 3]), WrongCount),
+    ("interpolate", "nan", lambda: interpolate([0.0, NAN], [1.0, 2.0]), WrongCount),
+    ("interpolate", "text", lambda: interpolate(["0", "1"], [1.0, 2.0]), WrongCount),
+    ("interpolate", "count", lambda: interpolate([0.0, 1.0], [1.0]), WrongCount),
+    ("poly_from_roots", "nan", lambda: poly_from_roots([NAN, 1.0]), WrongCount),
+    ("poly_from_roots", "text", lambda: poly_from_roots(["1", "2"]), WrongCount),
+    ("psi_poly", "range", lambda: psi_poly(1500), WrongCount),
     ("degenerate_mu", "m=0", lambda: degenerate_mu(5, 0), BadIndex),
     ("degenerate_mu", "m=l+2", lambda: degenerate_mu(5, 7), BadIndex),
 ]
@@ -93,6 +103,7 @@ MESSAGES = {
     "reconstruct-m": "frozen index m=0 must be at least 1$",
     "degenerate_mu-m=0": r"frozen index m=0 outside \[1, 5\]$",
     "solve_nondegenerate-none": "eigenvalues must be numbers$",
+    "psi_poly-range": "coefficient beyond double range$",
 }
 IDS = [f"{c[0]}-{c[1]}" for c in CASES]
 
