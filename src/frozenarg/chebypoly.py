@@ -18,6 +18,8 @@ them off the spectrum.  Polynomials in monomial form live in
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import NoConvergence, WrongCount
@@ -36,10 +38,20 @@ def _block_rows(width: int) -> int:
     return _BLOCK // max(width, 1) + 1
 
 
+def _index(value, what: str, low=1, high: int | None = None, error=WrongCount) -> int:
+    """value as an int: error unless it is a Python or numpy integer (not 2.0) in [low, high], unbounded if high is None."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        raise error(f"{what}={value!r} is not an integer") from None
+    if i < low or high is not None and i > high:
+        raise error(f"{what}={i} outside [{low}, {'inf' if high is None else high}]")
+    return i
+
+
 def psi_zeros(n: int) -> np.ndarray:
     """The n-1 zeros 2 cos(pi k / n), k = 1..n-1, in ascending k."""
-    if n < 1:
-        raise WrongCount("psi_zeros requires n >= 1")
+    n = _index(n, "psi index n")
     k = np.arange(1, n)
     return 2.0 * np.cos(np.pi * k / n)
 

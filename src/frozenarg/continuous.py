@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chebypoly import _block_rows
+from .chebypoly import _block_rows, _index
 from .discrete import _read_csv, _vector
 from .errors import BracketFailure, FrozenArgError, NoConvergence, QuadratureFailure, WrongCount
 
@@ -45,53 +45,41 @@ _MAX_SWEEPS = 100
 
 @dataclass
 class BenchmarkPotential:
-    """A potential q on [0, pi] together with its folded form p(t) = q(t) + q(pi-t).
+    """A potential q on [0, pi]; its folded form is the method p(t) = q(t) + q(pi-t).
 
     kind is one of "quadratic", "tent", "constant", "zero", "sampled".
-    Callables accept scalars or arrays.  p must be cubic between 0, pi/2 and
+    q accepts scalars or arrays.  p must be cubic between 0, pi/2 and
     the folded sample abscissae; R raises QuadratureFailure otherwise.
     """
 
     kind: str
     q: Callable
-    p: Callable
     samples: np.ndarray | None = None
+
+    def p(self, t):
+        """The folded form q(t) + q(pi - t), at a scalar or an array."""
+        t = np.asarray(t)
+        return self.q(t) + self.q(math.pi - t)
 
 
 def quadratic_potential() -> BenchmarkPotential:
     """q(x) = x (pi - x); p(t) = 2 t (pi - t)."""
-    return BenchmarkPotential(
-        kind="quadratic",
-        q=lambda x: np.asarray(x) * (math.pi - np.asarray(x)),
-        p=lambda t: 2.0 * np.asarray(t) * (math.pi - np.asarray(t)),
-    )
+    return BenchmarkPotential(kind="quadratic", q=lambda x: np.asarray(x) * (math.pi - np.asarray(x)))
 
 
 def tent_potential() -> BenchmarkPotential:
     """q(x) = pi/2 - |pi/2 - x|; p(t) = 2 t."""
-    return BenchmarkPotential(
-        kind="tent",
-        q=lambda x: math.pi / 2 - np.abs(math.pi / 2 - np.asarray(x)),
-        p=lambda t: 2.0 * np.asarray(t),
-    )
+    return BenchmarkPotential(kind="tent", q=lambda x: math.pi / 2 - np.abs(math.pi / 2 - np.asarray(x)))
 
 
 def constant_potential() -> BenchmarkPotential:
     """q(x) = 1; p(t) = 2."""
-    return BenchmarkPotential(
-        kind="constant",
-        q=lambda x: np.ones(np.shape(x)),
-        p=lambda t: np.full(np.shape(t), 2.0),
-    )
+    return BenchmarkPotential(kind="constant", q=lambda x: np.ones(np.shape(x)))
 
 
 def zero_potential() -> BenchmarkPotential:
     """q = 0; R(rho) = 2 cos(rho pi/2), zeros at every odd integer."""
-    return BenchmarkPotential(
-        kind="zero",
-        q=lambda x: np.zeros(np.shape(x)),
-        p=lambda t: np.zeros(np.shape(t)),
-    )
+    return BenchmarkPotential(kind="zero", q=lambda x: np.zeros(np.shape(x)))
 
 
 _NAMED_POTENTIALS = {
@@ -120,13 +108,7 @@ def sampled_potential(x, q) -> BenchmarkPotential:
         raise WrongCount("sample abscissae must be strictly increasing")
     if x[0] < -1e-12 or x[-1] > math.pi + 1e-12:
         raise WrongCount("samples must lie inside [0, pi]")
-    spline = _not_a_knot_spline(x, q)
-    return BenchmarkPotential(
-        kind="sampled",
-        q=spline,
-        p=lambda t: spline(np.asarray(t)) + spline(math.pi - np.asarray(t)),
-        samples=np.column_stack([x, q]),
-    )
+    return BenchmarkPotential(kind="sampled", q=_not_a_knot_spline(x, q), samples=np.column_stack([x, q]))
 
 
 def _not_a_knot_spline(x, y) -> Callable:
@@ -402,8 +384,7 @@ def continuous_spectrum(pot: BenchmarkPotential, n_max: int) -> ContinuousSpectr
     sweeps) on the named potentials and on 41-knot splines of x(pi - x) and
     1 + cos 2x, so n_max = 10001 takes well under a second.  Even n: (2k)^2.
     """
-    if n_max < 1:
-        raise WrongCount("n_max must be >= 1")
+    n_max = _index(n_max, "n_max")
     count = (n_max + 1) // 2
     end = 2.0 * count  # the next zero, of index 2k + 1, lies near rho = 2k + 1
     grid = _quadrature_grid(pot)

@@ -25,16 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebypoly import _EPS, _aberth, _block_rows, _secular_weights
+from .chebypoly import _EPS, _aberth, _block_rows, _index, _secular_weights
 from .errors import BadIndex, FrozenArgError, WrongCount
 
 
-def _check_index(m: int, l: int) -> None:
-    """BadIndex unless the frozen index m lies in [1, l]."""
-    if m < 1 and l < 1:  # [1, l] is empty, as under l = 2m - 1: name the bound m misses
-        raise BadIndex(f"frozen index m={m} must be at least 1")
-    if not 1 <= m <= l:
-        raise BadIndex(f"frozen index m={m} outside [1, {l}]")
+def _check_index(m, l: int | None = None) -> int:
+    """m as an int: BadIndex unless the frozen index m is an integer in [1, l], unbounded under l = None (l = 2m - 1)."""
+    return _index(m, "frozen index m", 1, l, BadIndex)
 
 
 def _vector(values, count: int | None, what: str, real: bool = False) -> np.ndarray:
@@ -91,9 +88,8 @@ class DiscreteProblem:
     w: np.ndarray
 
     def __post_init__(self):
-        if self.l < 1:
-            raise WrongCount("grid size l must be >= 1")
-        _check_index(self.m, self.l)
+        object.__setattr__(self, "l", _index(self.l, "grid size l"))
+        object.__setattr__(self, "m", _check_index(self.m, self.l))
         object.__setattr__(self, "w", _vector(self.w, self.l, "coefficients"))
 
     @staticmethod
@@ -135,10 +131,8 @@ class Spectrum:
 
 def sample_problem(q_values, m: int) -> DiscreteProblem:
     """Sample a potential on the grid: w_j = h^2 q_j with h = pi/(l+1)."""
-    l = np.size(q_values)
-    if l < 1:
-        raise WrongCount("need at least one sample")
-    _check_index(m, l)
+    l = _index(np.size(q_values), "sample count l")
+    m = _check_index(m, l)
     q = _vector(q_values, None, "coefficients")  # finite before h^2 q, where inf + 0j turns into nan
     h = math.pi / (l + 1)
     return DiscreteProblem(l=l, m=m, w=h * h * q)
@@ -238,6 +232,7 @@ def discrete_spectrum(p: DiscreteProblem) -> Spectrum:
 
 def free_lambdas(l: int) -> np.ndarray:
     """Eigenvalues 4 sin^2(n h / 2) / h^2, n = 1..l, of the zero-potential problem."""
+    l = _index(l, "grid size l", 0)
     h = math.pi / (l + 1)
     n = np.arange(1, l + 1)
     return 4.0 * np.sin(n * h / 2.0) ** 2 / h**2

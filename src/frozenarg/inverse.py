@@ -27,15 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebypoly import _read_weights, _secular_weights, _w_from_weights, psi_zeros
+from .chebypoly import _index, _read_weights, _secular_weights, _w_from_weights, psi_zeros
 from .discrete import _check_index, _vector
-from .errors import (
-    DegenerateConfiguration,
-    InexactDivision,
-    NotDegenerate,
-    SideDataMismatch,
-    WrongCount,
-)
+from .errors import DegenerateConfiguration, InexactDivision, NotDegenerate, SideDataMismatch, WrongCount
 from .monomial import _solve_degenerate_left
 
 
@@ -53,8 +47,7 @@ class DegenerateData:
     d: int
 
     def __post_init__(self):
-        if self.d < 2:
-            raise NotDegenerate(f"d = {self.d} < 2: not degenerate, use solve_nondegenerate")
+        object.__setattr__(self, "d", _index(self.d, "degenerate d", 2, error=NotDegenerate))
         if self.side not in ("left", "right"):
             raise SideDataMismatch(f"side must be 'left' or 'right', got {self.side!r}")
         object.__setattr__(self, "known_w", _vector(self.known_w, None, "known_w"))
@@ -78,11 +71,9 @@ def solve_nondegenerate(mu, m: int, l: int | None = None) -> np.ndarray:
     l = 64 and up to 8e-9 at l = 1024 (m near l/2) against dense eigvals, nearly all of it their
     own rounding, and up to 9e-11 at l = 1024 on spectra from discrete_spectrum.
     """
-    mu = _vector(mu, l, "eigenvalues")
-    l = len(mu)
-    if l < 1:
-        raise WrongCount("need at least one eigenvalue")
-    _check_index(m, l)
+    mu = _vector(mu, None if l is None else _index(l, "grid size l"), "eigenvalues")
+    l = _index(len(mu), "eigenvalue count l")
+    m = _check_index(m, l)
     if math.gcd(m, l + 1) != 1:
         raise DegenerateConfiguration(
             f"gcd(m, l+1) = {math.gcd(m, l + 1)} > 1: use solve_degenerate"
@@ -92,7 +83,8 @@ def solve_nondegenerate(mu, m: int, l: int | None = None) -> np.ndarray:
 
 def degenerate_mu(l: int, m: int) -> np.ndarray:
     """The potential-independent eigenvalues 2 cos(pi k / d), k = 1..d-1, d = gcd(m, l+1)."""
-    _check_index(m, l)
+    l = _index(l, "grid size l")
+    m = _check_index(m, l)
     return psi_zeros(math.gcd(m, l + 1))
 
 
@@ -103,7 +95,8 @@ def strip_degenerate(mu, l: int, m: int, tol: float = 1e-8) -> np.ndarray:
     anything farther than tol away raises WrongCount (the spectrum cannot belong to (l, m)).
     One masked argmin over the spectrum per value: O(l d), in numpy.
     """
-    _check_index(m, l)
+    l = _index(l, "grid size l")
+    m = _check_index(m, l)
     mu = _vector(mu, l, "eigenvalues")
     keep = np.ones(l, dtype=bool)
     for target in degenerate_mu(l, m):
@@ -133,7 +126,8 @@ def solve_degenerate(mu_reduced, m: int, l: int, data: DegenerateData) -> np.nda
     and ten seeds: the misfit is 0.02 to 1.6 times the relative error of w, and every w returned
     is within 9.5e-6 of the truth relative to max |w|.
     """
-    _check_index(m, l)
+    l = _index(l, "grid size l")
+    m = _check_index(m, l)
     d = math.gcd(m, l + 1)
     if d == 1:
         raise NotDegenerate(f"gcd(m, l+1) = 1 for (l, m) = ({l}, {m}): use solve_nondegenerate")
@@ -165,7 +159,7 @@ def solve_symmetric(mu_odd, m: int) -> tuple[complex, np.ndarray]:
     complex |w| <= 1 the error relative to the largest pair sum is 2e-12, 3e-11 and 4e-10 against
     dense eigvals at m = 128, 512 and 2048, and 3e-14, 3e-13 and 2e-12 on discrete_spectrum's.
     """
-    _check_index(m, 2 * m - 1)
+    m = _check_index(m)
     mu_odd = _vector(mu_odd, m, "eigenvalues")
     w = _w_from_weights(_read_weights(mu_odd, 2 * m - 1, m, m), m)
     return complex(w[m - 1]), 2.0 * w[: m - 1]

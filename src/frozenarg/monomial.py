@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chebypoly import _aberth, _product_at, _psi_sin, psi_zeros
+from .chebypoly import _aberth, _index, _product_at, _psi_sin, psi_zeros
 from .discrete import DiscreteProblem, _vector
 from .errors import DegreeMismatch, DuplicateNode, InexactDivision, WrongCount
 
@@ -95,6 +95,7 @@ class Poly:
         return len(self.coeffs) - 1
 
     def coeff(self, k: int) -> complex:
+        k = _index(k, "power k", -math.inf)
         return complex(self.coeffs[k]) if 0 <= k <= self.degree else 0.0 + 0.0j
 
     def __call__(self, mu):
@@ -180,13 +181,12 @@ class PsiSeries:
 
     def __getitem__(self, j: int) -> complex:
         """Coefficient of psi_j (1-based)."""
-        return complex(self.coeffs[j - 1])
+        return complex(self.coeffs[_index(j, "psi index j", 1, self.n) - 1])
 
 
 def psi_eval(n: int, mu):
     """psi_n(mu) by the three-term recurrence; mu may be a scalar or array."""
-    if n < 0:
-        raise WrongCount("psi index must be non-negative")
+    n = _index(n, "psi index n", 0)
     mu = np.asarray(mu, dtype=complex)
     a = np.zeros_like(mu)
     if n == 0:
@@ -197,14 +197,13 @@ def psi_eval(n: int, mu):
     return b if b.ndim else complex(b)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)  # typed: a cached psi_poly(2) must not answer psi_poly(2.0)
 def psi_poly(n: int) -> Poly:
     """psi_n as a monomial Poly, each integer coefficient rounded to the nearest double.
 
     WrongCount where a coefficient lies beyond double range, from n = 1484.
     """
-    if n < 0:
-        raise WrongCount("psi index must be non-negative")
+    n = _index(n, "psi index n", 0)
     return Poly(_nearest(list(_psi_ints(n)), [0] * n, 1))
 
 
@@ -226,10 +225,7 @@ def poly_to_psi(p: Poly, n: int | None = None) -> PsiSeries:
     _FIT_TOL of the largest: round-off from exact cancellations upstream) or
     DegreeMismatch is raised.
     """
-    if n is None:
-        n = max(p.degree + 1, 1)
-    if n < 1:
-        raise WrongCount("psi series length must be >= 1")
+    n = max(p.degree + 1, 1) if n is None else _index(n, "psi series length n")
     re, im, den = p._exact or _dyadic(p.coeffs, "coefficients")
     scale = np.abs(p.coeffs).max(initial=1.0)
     for k in range(n, p.degree + 1):
@@ -261,8 +257,7 @@ def psi_mul(a: int, b: int) -> PsiSeries:
     The product expands with unit coefficients at indices a+b-1-2k,
     k = 0..min(a,b)-1 (exact integer identity).
     """
-    if a < 1 or b < 1:
-        raise WrongCount("psi_mul requires indices >= 1")
+    a, b = _index(a, "psi index a"), _index(b, "psi index b")
     out = np.zeros(a + b - 1, dtype=complex)
     for k in range(min(a, b)):
         out[a + b - 2 - 2 * k] = 1.0

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chebypoly import _index
 from .continuous import BenchmarkPotential, continuous_spectrum
 from .discrete import Spectrum, _check_index, _grid, _vector, discrete_spectrum, free_lambdas, sample_problem
 from .errors import FrozenArgError, WrongCount
@@ -26,16 +27,28 @@ from .inverse import solve_symmetric
 def correction(lambda_n, n, m: int):
     """Surrogate discrete eigenvalue lambda_n - n^2 + 4 sin^2(n h / 2) / h^2, h = pi / (2m).
 
-    Elementwise on arrays of lambda_n and n, with the free term read off
-    :func:`discrete.free_lambdas`; a float for scalar arguments.
+    Elementwise on arrays of lambda_n and n, which must broadcast, with the free
+    term read off :func:`discrete.free_lambdas`; a float for scalar arguments.
+    BadIndex unless m is an integer >= 1, WrongCount unless every n is an integer in [1, 2m - 1].
     """
-    scalar = np.ndim(lambda_n) == np.ndim(n) == 0
-    lam, n = np.broadcast_arrays(_vector(lambda_n, None, "lambda_n", real=True), np.asarray(n))
-    inside = (1 <= n) & (n <= 2 * m - 1)
-    if not inside.all():
-        raise WrongCount(f"index n={n[~inside][0]} outside [1, {2 * m - 1}]")
-    tilde = lam - n * n + free_lambdas(2 * m - 1)[n - 1]
+    m, scalar = _check_index(m), np.ndim(lambda_n) == np.ndim(n) == 0
+    lam, n = _vector(lambda_n, None, "lambda_n", real=True), np.asarray(n)
+    if n.dtype.kind not in "iu":  # not one operator.index per entry: numpy checks the whole array
+        raise WrongCount(f"index n={n.tolist()!r} is not an integer")
+    try:
+        lam, n = np.broadcast_arrays(lam, n)
+    except ValueError:
+        raise WrongCount(f"{lam.size} lambda_n do not match {n.size} indices n") from None
+    outside = (n < 1) | (n > 2 * m - 1)
+    if outside.any():  # raises, with the message of every index
+        _index(n[outside][0], "index n", 1, 2 * m - 1)
+    tilde = _corrected(lam, n, m)
     return float(tilde[0]) if scalar else tilde
+
+
+def _corrected(lam: np.ndarray, n: np.ndarray, m: int) -> np.ndarray:
+    """correction on checked arrays of lambda_n and of integers n in [1, 2m - 1]."""
+    return lam - n * n + free_lambdas(2 * m - 1)[n - 1]
 
 
 @dataclass
@@ -68,10 +81,10 @@ def reconstruct(lambdas_odd, m: int) -> ReconstructionResult:
     the solve_symmetric output (pair sums and the middle value), scaled by
     q_j = z_j / (2 h^2) for j < m and q_m = z_m / h^2.
     """
+    m = _check_index(m)
     lambdas_odd = _vector(lambdas_odd, m, "odd-index eigenvalues", real=True)
-    _check_index(m, 2 * m - 1)
     h = math.pi / (2 * m)
-    tilde = correction(lambdas_odd, np.arange(1, 2 * m, 2), m)
+    tilde = _corrected(lambdas_odd, np.arange(1, 2 * m, 2), m)
     mu = 2.0 - h * h * tilde
     wm, s = solve_symmetric(mu, m)
     z = np.append(s, wm)
@@ -85,7 +98,7 @@ def reconstruct(lambdas_odd, m: int) -> ReconstructionResult:
 
 def reconstruct_from_potential(pot: BenchmarkPotential, m: int) -> ReconstructionResult:
     """Convenience: continuous eigenvalues of pot -> reconstruct."""
-    spec = continuous_spectrum(pot, 2 * m - 1)
+    spec = continuous_spectrum(pot, 2 * _check_index(m) - 1)
     return reconstruct(spec.odd_lambdas, m)
 
 
@@ -154,8 +167,8 @@ def trapz_prime_sum(p_values, n: int, m: int) -> complex:
     p_values are samples at x_j = j h, j = 0..m, h = pi / (2m): the discrete
     counterpart of the sine integral under the trapezoidal rule.
     """
+    n, m = _index(n, "index n", -math.inf), _check_index(m)
     p_values = _vector(p_values, m + 1, "samples")
-    _check_index(m, 2 * m - 1)
     h = math.pi / (2 * m)
     x = h * np.arange(m + 1)
     weights = np.ones(m + 1)
@@ -207,11 +220,11 @@ def convergence_study(pot: BenchmarkPotential, ms, ns) -> ConvergenceStudy:
     and each requested n at least two distinct m with n <= 2m - 1;
     WrongCount otherwise.
     """
-    ms = [int(m) for m in ms]
-    ns = [int(n) for n in ns]
-    if any(n < 1 or n % 2 == 0 for n in ns):
+    ms = [_index(m, "grid size m") for m in ms]
+    ns = [_index(n, "index n") for n in ns]
+    if any(n % 2 == 0 for n in ns):
         raise WrongCount("ns must be odd positive integers")
-    if len(set(ms)) < 2 or min(ms) < 1:
+    if len(set(ms)) < 2:
         raise WrongCount(f"ms must hold at least two distinct positive grid sizes, got {ms}")
     for n in ns:
         if len({m for m in ms if n <= 2 * m - 1}) < 2:

@@ -143,7 +143,7 @@ def test_conversion_roundtrip_is_exact(n):
 
 @pytest.mark.parametrize("psi", [psi_poly, lambda n: psi_eval(n, 0.5)], ids=["psi_poly", "psi_eval"])
 def test_negative_psi_index_raises(psi):
-    with pytest.raises(WrongCount, match="non-negative"):
+    with pytest.raises(WrongCount, match=r"psi index n=-2 outside \[0, inf\]$"):
         psi(-2)
 
 

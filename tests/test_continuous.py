@@ -475,7 +475,6 @@ def test_quadrature_failure_on_unresolvable_integrand():
     pot = BenchmarkPotential(
         kind="sampled",
         q=lambda x: np.sign(np.sin(997.0 * np.asarray(x))),
-        p=lambda t: np.sign(np.sin(997.0 * np.asarray(t))),
     )
     with pytest.raises(QuadratureFailure):
         r_eval(pot, 2.0)

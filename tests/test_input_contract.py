@@ -6,6 +6,11 @@ entries raise WrongCount (DegenerateData: a wrong number of known values raises
 SideDataMismatch), and a frozen index m outside [1, l] raises BadIndex, where l = 2m - 1 for
 reconstruct, trapz_prime_sum and solve_symmetric.  psi_poly(n) raises WrongCount where a
 coefficient of psi_n lies beyond double range.
+
+Integer arguments (grid sizes l, frozen indices m, d = gcd(m, l+1), eigenvalue and psi indices
+n) take Python or numpy integers; 2.0, 1.5, "3" and None are rejected.  Each argument has one
+error class for both faults, a value that is not an integer and one out of range: BadIndex for
+m, NotDegenerate for d, WrongCount for the rest.
 """
 
 import math
@@ -17,13 +22,24 @@ from frozenarg import (
     BadIndex,
     DegenerateData,
     DiscreteProblem,
+    NotDegenerate,
+    Poly,
+    PsiSeries,
     SideDataMismatch,
     Spectrum,
     WrongCount,
+    continuous_spectrum,
+    convergence_study,
+    correction,
     degenerate_mu,
+    free_lambdas,
     interpolate,
     poly_from_roots,
+    psi_eval,
+    psi_mul,
     psi_poly,
+    psi_zeros,
+    quadratic_potential,
     reconstruct,
     sample_problem,
     sampled_potential,
@@ -91,16 +107,53 @@ CASES = [
     ("psi_poly", "range", lambda: psi_poly(1500), WrongCount),
     ("degenerate_mu", "m=0", lambda: degenerate_mu(5, 0), BadIndex),
     ("degenerate_mu", "m=l+2", lambda: degenerate_mu(5, 7), BadIndex),
+    ("free_lambdas", "l=-1", lambda: free_lambdas(-1), WrongCount),
+    ("PsiSeries", "j=0", lambda: PsiSeries([1.0, 2.0])[0], WrongCount),  # was the last coefficient
+    ("PsiSeries", "j=3", lambda: PsiSeries([1.0, 2.0])[3], WrongCount),
+]
+
+# (entry point, integer argument, call with that argument set to v, expected subclass)
+MU = [0.5, -0.5, 1.0, 0.2, 0.1]
+INTEGER_ARGUMENTS = [
+    ("sample_problem", "m", lambda v: sample_problem([1.0, 2.0, 3.0], v), BadIndex),
+    ("psi_zeros", "n", lambda v: psi_zeros(v), WrongCount),
+    ("free_lambdas", "l", lambda v: free_lambdas(v), WrongCount),
+    ("DegenerateData", "d", lambda v: DegenerateData("left", [1.0], v), NotDegenerate),
+    ("convergence_study", "ms", lambda v: convergence_study(quadratic_potential(), [v, 5], [1]), WrongCount),
+    ("solve_nondegenerate", "m", lambda v: solve_nondegenerate(MU, v), BadIndex),
+    ("degenerate_mu", "m", lambda v: degenerate_mu(5, v), BadIndex),
+    ("strip_degenerate", "m", lambda v: strip_degenerate(MU, 5, v), BadIndex),
+    ("solve_degenerate", "m", lambda v: solve_degenerate(MU[:3], v, 5, LEFT), BadIndex),
+    ("solve_symmetric", "m", lambda v: solve_symmetric(MU[:2], v), BadIndex),
+    ("trapz_prime_sum", "m", lambda v: trapz_prime_sum(np.ones(3), 1, v), BadIndex),
+    ("reconstruct", "m", lambda v: reconstruct([1.0, 9.0], v), BadIndex),
+    ("correction", "n", lambda v: correction(1.0, v, 3), WrongCount),
+    ("continuous_spectrum", "n_max", lambda v: continuous_spectrum(quadratic_potential(), v), WrongCount),
+    ("psi_eval", "n", lambda v: psi_eval(v, 0.5), WrongCount),
+    ("psi_poly", "n", lambda v: psi_poly(v), WrongCount),
+    ("psi_mul", "a", lambda v: psi_mul(v, 2), WrongCount),
+    ("PsiSeries", "j", lambda v: PsiSeries([1.0, 2.0])[v], WrongCount),
+    ("Poly.coeff", "k", lambda v: Poly([1.0, 2.0]).coeff(v), WrongCount),
+]
+CASES += [
+    (name, f"{arg}={v!r}", lambda call=call, v=v: call(v), error)
+    for name, arg, call, error in INTEGER_ARGUMENTS
+    for v in (1.5, 2.0, "3", None)
 ]
 
 
-# Messages where the subclass alone does not show the fault: each m < 1 row names the range [1, l], or the
-# bound m misses where l = 2m - 1 leaves the range empty; None is no numbers, not a non-finite entry
+# Messages where the subclass alone does not show the fault: each m < 1 row names the range [1, l], unbounded
+# above where l = 2m - 1; None is no numbers, not a non-finite entry; 2.0 is not an integer
 MESSAGES = {
     "solve_degenerate-m": r"frozen index m=0 outside \[1, 5\]$",
-    "solve_symmetric-m": "frozen index m=0 must be at least 1$",
-    "trapz_prime_sum-m": "frozen index m=0 must be at least 1$",
-    "reconstruct-m": "frozen index m=0 must be at least 1$",
+    "solve_symmetric-m": r"frozen index m=0 outside \[1, inf\]$",
+    "trapz_prime_sum-m": r"frozen index m=0 outside \[1, inf\]$",
+    "reconstruct-m": r"frozen index m=0 outside \[1, inf\]$",
+    "free_lambdas-l=-1": r"grid size l=-1 outside \[0, inf\]$",
+    "sample_problem-m=1.5": "frozen index m=1.5 is not an integer$",
+    "DegenerateData-d=2.0": "degenerate d=2.0 is not an integer$",
+    "correction-n='3'": "index n='3' is not an integer$",
+    "continuous_spectrum-n_max=None": "n_max=None is not an integer$",
     "degenerate_mu-m=0": r"frozen index m=0 outside \[1, 5\]$",
     "solve_nondegenerate-none": "eigenvalues must be numbers$",
     "psi_poly-range": "coefficient beyond double range$",
@@ -125,3 +178,9 @@ def test_stored_arrays_are_read_only_copies():
     for got in stored:
         assert not got.flags.writeable
         assert got[0] == 0.1
+
+
+def test_cached_psi_poly_does_not_answer_a_float():
+    psi_poly(2)
+    with pytest.raises(WrongCount, match="psi index n=2.0 is not an integer$"):
+        psi_poly(2.0)

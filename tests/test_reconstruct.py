@@ -301,11 +301,14 @@ def test_study_rejects_even_n():
 
 
 @pytest.mark.parametrize(
-    "ms", [(5,), (5, 5), (), (0, 5), (1, 5)], ids=["one", "repeated", "none", "zero", "n3_on_one_grid"]
+    "ms, message",
+    [((5,), "two distinct"), ((5, 5), "two distinct"), ((), "two distinct"),
+     ((0, 5), r"grid size m=0 outside \[1, inf\]$"), ((1, 5), "two distinct")],
+    ids=["one", "repeated", "none", "zero", "n3_on_one_grid"],
 )
-def test_study_needs_two_distinct_grids(ms):
+def test_study_needs_two_distinct_grids(ms, message):
     # a slope through fewer than two points is a min-norm fit, not an order
-    with pytest.raises(WrongCount, match="two distinct"):
+    with pytest.raises(WrongCount, match=message):
         convergence_study(quadratic_potential(), ms=ms, ns=(1, 3))
 
 
