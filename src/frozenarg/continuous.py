@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .chebypoly import _block_rows, _index
-from .discrete import _read_csv, _vector
+from .discrete import _number, _read_csv, _vector
 from .errors import BracketFailure, FrozenArgError, NoConvergence, QuadratureFailure, WrongCount
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -41,6 +41,7 @@ _SCAN_STEP = 0.25  # rho spacing of that scan
 _ROOT_STEP = 1e-14  # a Newton step at most this times rho ends a root
 _COMPLEX_STEP = 1e-30  # imaginary part of the point where R and R' are evaluated together
 _MAX_SWEEPS = 100
+_MAX_N_MAX = 1 << 21  # largest n_max of continuous_spectrum: its scan of R holds 4 n_max points, 64 MiB
 
 
 @dataclass
@@ -265,11 +266,10 @@ def r_eval(pot: BenchmarkPotential, rho) -> complex:
     is R(0) = 2 + int p(t) t dt.  It is exact to rounding when p is cubic
     between its knots, as every potential built here is; any other p raises
     QuadratureFailure.  |R| grows like e^{|Im rho| pi/2}; where it leaves
-    double range (|Im rho| > 451 or so) FrozenArgError is raised.
+    double range (|Im rho| > 451 or so) FrozenArgError is raised.  rho must
+    be one finite number (WrongCount).
     """
-    rho = complex(rho)
-    if not cmath.isfinite(rho):
-        raise WrongCount(f"rho must be finite, got {rho}")
+    rho = _number(rho, "rho")
     grid = _quadrature_grid(pot)
     with np.errstate(over="ignore", invalid="ignore"):
         r = complex(_r(grid, np.array([rho]))[0])
@@ -284,11 +284,9 @@ def delta_eval(pot: BenchmarkPotential, lam) -> complex:
     The prefactor and R are even in rho, so the square-root branch does not
     matter; at lambda = 0 the removable limit (pi/2) R(0) is returned.  Where
     Delta leaves double range (lambda = -5.2e4 for the quadratic) FrozenArgError
-    is raised.
+    is raised.  lambda must be one finite number (WrongCount).
     """
-    lam = complex(lam)
-    if not cmath.isfinite(lam):
-        raise WrongCount(f"lambda must be finite, got {lam}")
+    lam = _number(lam, "lambda")
     rho = np.sqrt(lam)
     r = r_eval(pot, rho)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -383,8 +381,11 @@ def continuous_spectrum(pot: BenchmarkPotential, n_max: int) -> ContinuousSpectr
     evaluation at complex rho: five evaluations in all (the scan and four
     sweeps) on the named potentials and on 41-knot splines of x(pi - x) and
     1 + cos 2x, so n_max = 10001 takes well under a second.  Even n: (2k)^2.
+
+    n_max is at most _MAX_N_MAX = 2^21, whose scan holds 2^23 points (64 MiB);
+    a larger one raises WrongCount before anything is allocated.
     """
-    n_max = _index(n_max, "n_max")
+    n_max = _index(n_max, "n_max", 1, _MAX_N_MAX)
     count = (n_max + 1) // 2
     end = 2.0 * count  # the next zero, of index 2k + 1, lies near rho = 2k + 1
     grid = _quadrature_grid(pot)

@@ -34,12 +34,11 @@ def _check_index(m, l: int | None = None) -> int:
     return _index(m, "frozen index m", 1, l, BadIndex)
 
 
-def _vector(values, count: int | None, what: str, real: bool = False) -> np.ndarray:
-    """values as a read-only 1-d copy: complex, or float under real=True.
+def _numbers(values, what: str, real: bool = False) -> np.ndarray:
+    """values as a copy with at least one axis: complex, or float under real=True.
 
     WrongCount on entries that are not numbers (under real, not real numbers), text and None
-    among them, on more than one axis, on an inf or NaN entry, then, unless count is None, on
-    any other number of entries.
+    among them, and on an inf or NaN entry.
     """
     try:
         v = np.asarray(values)
@@ -48,10 +47,28 @@ def _vector(values, count: int | None, what: str, real: bool = False) -> np.ndar
     except (TypeError, ValueError):  # ValueError: a ragged list
         raise WrongCount(f"{what} must be {'real ' if real else ''}numbers") from None
     v = np.array(v, dtype=float if real else complex, ndmin=1)
-    if v.ndim != 1:
-        raise WrongCount(f"{what} must be a flat list, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise WrongCount(f"{what} must be finite")
+    return v
+
+
+def _number(value, what: str, real: bool = False):
+    """value as one Python complex, or float under real=True: WrongCount as _numbers, and on a sequence."""
+    v = _numbers(value, what, real)
+    if np.ndim(value):
+        raise WrongCount(f"{what} must be one number, got shape {np.shape(value)}")
+    return v[0].item()
+
+
+def _vector(values, count: int | None, what: str, real: bool = False) -> np.ndarray:
+    """values as a read-only 1-d copy: complex, or float under real=True.
+
+    WrongCount as _numbers, on more than one axis and then, unless count is None, on any other
+    number of entries.
+    """
+    v = _numbers(values, what, real)
+    if v.ndim != 1:
+        raise WrongCount(f"{what} must be a flat list, got shape {v.shape}")
     if count is not None and len(v) != count:
         raise WrongCount(f"expected {count} {what}, got {len(v)}")
     v.setflags(write=False)
@@ -123,7 +140,10 @@ class Spectrum:
 
     @staticmethod
     def from_mu(mu, h: float) -> "Spectrum":
-        mu = np.atleast_1d(np.asarray(mu, dtype=complex))
+        """mu and lambda = (2 - mu) / h^2 in lambda order; WrongCount as _vector, and unless h is a number > 0."""
+        mu, h = _vector(mu, None, "mu"), _number(h, "step h", real=True)
+        if h <= 0:
+            raise WrongCount(f"step h={h} must be positive")
         lam = (2.0 - mu) / h**2
         order = np.lexsort((lam.imag, lam.real))
         return Spectrum(mu=mu[order], lam=lam[order])
@@ -142,10 +162,11 @@ def d_eval(p: DiscreteProblem, mu):
     """Characteristic function D(mu) by running the recurrence (O(l) per point).
 
     |D| grows like r^l, r = max |mu/2 +- sqrt(mu^2/4 - 1)| (1 on [-2, 2]); past l ln r = 709
-    (l >= 738 at mu = 3) D leaves double range and a finite mu raises FrozenArgError.
+    (l >= 738 at mu = 3) D leaves double range and FrozenArgError is raised.  mu must be finite
+    numbers (WrongCount).
     """
     l, m, w = p.l, p.m, p.w
-    z = np.atleast_1d(np.asarray(mu, dtype=complex))
+    z = _numbers(mu, "mu")
     one, zero = np.ones_like(z), np.zeros_like(z)
 
     def run(yp, yc, equations, y_at_m):
@@ -159,7 +180,7 @@ def d_eval(p: DiscreteProblem, mu):
         p0, pl1 = run(zero, one, down, 0.0), run(one, zero, up, 0.0)
         q0, ql1 = run(one, zero, down, 1.0), run(zero, one, up, 1.0)
         d = p0 * ql1 - pl1 * q0
-    if not np.isfinite(d[np.isfinite(z)]).all():
+    if not np.isfinite(d).all():
         raise FrozenArgError(f"D(mu) overflows double range at l = {l} (|D| grows like r^l, r > 1 off [-2, 2])")
     return d if np.ndim(mu) else complex(d[0])
 

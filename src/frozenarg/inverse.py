@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebypoly import _index, _read_weights, _secular_weights, _w_from_weights, psi_zeros
-from .discrete import _check_index, _vector
+from .discrete import _check_index, _number, _vector
 from .errors import DegenerateConfiguration, InexactDivision, NotDegenerate, SideDataMismatch, WrongCount
 from .monomial import _solve_degenerate_left
 
@@ -92,18 +92,20 @@ def strip_degenerate(mu, l: int, m: int, tol: float = 1e-8) -> np.ndarray:
     """Remove the d-1 degenerate eigenvalues from a full spectrum.
 
     For each closed-form value the closest entry still kept is dropped (the first on a tie);
-    anything farther than tol away raises WrongCount (the spectrum cannot belong to (l, m)).
-    One masked argmin over the spectrum per value: O(l d), in numpy.
+    anything farther than tol away raises WrongCount (the spectrum cannot belong to (l, m)), as
+    does a tol that is not one finite real number.  One masked argmin over the spectrum per value:
+    O(l d), in numpy.
     """
     l = _index(l, "grid size l")
     m = _check_index(m, l)
     mu = _vector(mu, l, "eigenvalues")
+    tol = _number(tol, "tol", real=True)
     keep = np.ones(l, dtype=bool)
     for target in degenerate_mu(l, m):
         dist = np.abs(mu - target)
         dist[~keep] = np.inf
         i = dist.argmin()
-        if not dist[i] <= tol:  # a NaN tol raises too
+        if not dist[i] <= tol:
             raise WrongCount(f"no eigenvalue within {tol:g} of the degenerate value {target:.6f}")
         keep[i] = False
     return mu[keep]

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chebypoly import _aberth, _index, _product_at, _psi_sin, psi_zeros
-from .discrete import DiscreteProblem, _vector
+from .discrete import DiscreteProblem, _numbers, _vector
 from .errors import DegreeMismatch, DuplicateNode, InexactDivision, WrongCount
 
 _DIVIDE_TOL = 1e-10  # largest remainder of an exact division, relative to the dividend
@@ -74,13 +74,26 @@ class Poly:
     __slots__ = ("coeffs", "_exact")
 
     def __init__(self, coeffs, _exact=None):
-        c = np.array(coeffs, dtype=complex, ndmin=1)
+        try:
+            c = np.array(coeffs, dtype=complex, ndmin=1)
+        except (TypeError, ValueError):  # text and the like: caught, not checked for on every call
+            raise WrongCount("polynomial coefficients must be numbers") from None
+        self._hold(c, _exact)
+
+    @classmethod
+    def _of(cls, c: np.ndarray) -> "Poly":
+        """The Poly of the fresh 1-d complex array c, which it keeps without a copy: no one else may hold c."""
+        p = cls.__new__(cls)
+        p._hold(c, None)
+        return p
+
+    def _hold(self, c: np.ndarray, exact) -> None:
         if len(c) and c[-1] == 0:  # scan for the last nonzero only when there are zeros to trim
             nz = np.flatnonzero(c)
             c = c[: nz[-1] + 1 if len(nz) else 0]
         c.setflags(write=False)
         self.coeffs = c
-        self._exact = _exact
+        self._exact = exact
 
     # -- construction ----------------------------------------------------------
 
@@ -99,12 +112,12 @@ class Poly:
         return complex(self.coeffs[k]) if 0 <= k <= self.degree else 0.0 + 0.0j
 
     def __call__(self, mu):
-        """Horner evaluation; accepts scalars or arrays."""
-        mu = np.asarray(mu, dtype=complex)
-        out = np.zeros_like(mu)
+        """Horner evaluation; accepts scalars or arrays of finite numbers (WrongCount otherwise)."""
+        z = _numbers(mu, "mu")
+        out = np.zeros_like(z)
         for c in self.coeffs[::-1]:
-            out = out * mu + c
-        return out if out.ndim else complex(out)
+            out = out * z + c
+        return out if np.ndim(mu) else complex(out[0])
 
     def __repr__(self):
         return f"Poly(degree={self.degree})"
@@ -119,21 +132,21 @@ class Poly:
         c = np.zeros(n, dtype=complex)
         c[: len(self.coeffs)] += self.coeffs
         c[: len(other.coeffs)] += other.coeffs
-        return Poly(c)
+        return Poly._of(c)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(-self.coeffs)
+        return Poly._of(-self.coeffs)
 
     def scale(self, c) -> "Poly":
-        return Poly(c * self.coeffs)
+        return Poly._of(c * self.coeffs)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.degree < 0 or other.degree < 0:
             return Poly.zero()
-        return Poly(np.convolve(self.coeffs, other.coeffs))
+        return Poly._of(np.convolve(self.coeffs, other.coeffs))
 
     def divide_exact(self, divisor: "Poly") -> "Poly":
         """Quotient self / divisor when the division is exact in theory.
@@ -148,17 +161,17 @@ class Poly:
                 return Poly.zero()
             raise InexactDivision("dividend has lower degree than divisor")
         r = np.array(self.coeffs, dtype=complex)
-        d = divisor.coeffs
+        d, top = divisor.coeffs, divisor.degree
         lead = d[-1]
-        q = np.zeros(self.degree - divisor.degree + 1, dtype=complex)
+        q = np.zeros(self.degree - top + 1, dtype=complex)
         for k in range(len(q) - 1, -1, -1):
-            q[k] = r[k + divisor.degree] / lead
-            r[k : k + divisor.degree + 1] -= q[k] * d
-        rem = np.abs(r[: divisor.degree]).max(initial=0.0)
+            q[k] = r[k + top] / lead
+            r[k : k + top + 1] -= q[k] * d
+        rem = np.abs(r[:top]).max(initial=0.0)
         scale = np.abs(self.coeffs).max(initial=1.0)
         if rem > _DIVIDE_TOL * scale:
             raise InexactDivision(f"remainder norm {rem:.3e} exceeds {_DIVIDE_TOL:.1e} * ||dividend||")
-        return Poly(q)
+        return Poly._of(q)
 
 
 @dataclass(frozen=True)
@@ -168,12 +181,8 @@ class PsiSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        if len(c) == 0:
-            c = np.zeros(1, dtype=complex)
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        c = _vector(self.coeffs, None, "psi coordinates")
+        object.__setattr__(self, "coeffs", c if len(c) else _vector(0.0, 1, "psi coordinates"))  # the zero series
 
     @property
     def n(self) -> int:
@@ -186,15 +195,11 @@ class PsiSeries:
 
 def psi_eval(n: int, mu):
     """psi_n(mu) by the three-term recurrence; mu may be a scalar or array."""
-    n = _index(n, "psi index n", 0)
-    mu = np.asarray(mu, dtype=complex)
-    a = np.zeros_like(mu)
-    if n == 0:
-        return a if a.ndim else complex(a)
-    b = np.ones_like(mu)
-    for _ in range(1, n):
-        a, b = b, mu * b - a
-    return b if b.ndim else complex(b)
+    n, z = _index(n, "psi index n", 0), _numbers(mu, "mu")
+    a, b = -np.ones_like(z), np.zeros_like(z)  # psi_{-1} = -1 and psi_0 = 0 start the recurrence
+    for _ in range(n):
+        a, b = b, z * b - a
+    return b if np.ndim(mu) else complex(b[0])
 
 
 @lru_cache(maxsize=256, typed=True)  # typed: a cached psi_poly(2) must not answer psi_poly(2.0)
@@ -438,27 +443,28 @@ def _solve_degenerate_left(mu_reduced: np.ndarray, m: int, l: int, known_w: np.n
     wm = d_poly.coeff(l - 1)  # -sum mu_all: the trace of T - w e_m^T is -w_m
     w = np.zeros(l, dtype=complex)
     w[m - 1] = wm
-    for i, kw in enumerate(known_w):
-        w[m - d + i] = kw  # w_{m-d+1}..w_{m-1}
+    w[m - d : m - 1] = known_w  # w_{m-d+1}..w_{m-1}
 
     # zeros nu_k = 2 cos(theta_k), theta_k = pi k/m, of phi_{m-d} = psi_m / psi_d:
     # drop every (m/d)-th zero of psi_m, where psi_{l-m+1} vanishes too
     k = np.arange(1, m)
     k = k[k % (m // d) != 0]
     nus = psi_zeros(m)[k - 1]
+    sin_theta = _psi_sin(1, k, m)
 
-    def psi(j):  # psi_j(nu_k) = sin(j theta_k) / sin(theta_k)
-        return _psi_sin(j, k, m) / _psi_sin(1, k, m)
+    def psi(j):  # psi_j(nu_k) = sin(j theta_k) / sin(theta_k); a column of j gives one row per j
+        return _psi_sin(j, k, m) / sin_theta
 
     # Q_0^bullet = Q_0 + psi_{m-1} - sum_{j=m-d+1}^{m-1} w_j psi_j = sum_{j<=m-d} w_j psi_j
-    vals = _product_at(nus, mu_all) / psi(l - m + 1) + psi(m - 1)
-    for j in range(m - d + 1, m):
-        vals -= w[j - 1] * psi(j)
+    js = np.arange(m - d + 1, m)
+    known = w[js - 1]
+    vals = _product_at(nus, mu_all) / psi(l - m + 1) + psi(m - 1) - known @ psi(js[:, None])
     q0_bullet = interpolate(nus, vals)
 
-    q0 = q0_bullet - psi_poly(m - 1)
-    for j in range(m - d + 1, m):
-        q0 = q0 + psi_poly(j).scale(w[j - 1])
+    basis = np.zeros((d - 1, m - 1), dtype=complex)  # the monomial coefficients of psi_j, one zero-padded row per j
+    for row, j in zip(basis, js.tolist()):
+        row[:j] = psi_poly(j).coeffs
+    q0 = q0_bullet - psi_poly(m - 1) + Poly._of(known @ basis)
 
     # Q_{l+1} = (D + P_{l+1} Q_0) / P_0, an exact division by psi_m
     numerator = d_poly + (-psi_poly(l - m + 1)) * q0

@@ -139,13 +139,19 @@ def error_report(
 ) -> ErrorReport:
     """Compare a reconstruction against the true potential and discrete spectrum.
 
-    discrete_oracle may supply the forward spectrum of the sampled potential;
-    otherwise it is computed here.  delta_nl = lambda_nl - lambda~_nl and
+    discrete_oracle may supply the forward spectrum of the sampled potential, all
+    l = 2m - 1 eigenvalues of it (WrongCount otherwise); without it the spectrum is
+    computed here.  delta_nl = lambda_nl - lambda~_nl and
     delta_j = q(x_j) - q~_j are also written back into result.delta_q.
     """
     m = result.m
     n = np.arange(1, 2 * m, 2)
-    lam_d = _sampled_lambdas(pot, m) if discrete_oracle is None else discrete_oracle.lam.real
+    if discrete_oracle is None:
+        lam_d = _sampled_lambdas(pot, m)
+    elif len(discrete_oracle.lam) != result.l:
+        raise WrongCount(f"discrete_oracle holds {len(discrete_oracle.lam)} eigenvalues, expected l = 2m - 1 = {result.l}")
+    else:
+        lam_d = discrete_oracle.lam.real
     tilde, lam_nl = result.tilde_lambda, lam_d[n - 1]
     eigen_rows = zip(n.tolist(), result.lambdas.tolist(), lam_nl.tolist(), tilde.tolist(), (lam_nl - tilde).tolist())
     xs = _grid(result.l)[:m]
@@ -209,6 +215,14 @@ class ConvergenceStudy:
     tail_slope: float | None
 
 
+def _indices(values, what: str) -> list[int]:
+    """The integers of a sequence, each through _index; WrongCount where values is not a sequence."""
+    try:
+        return [_index(v, what) for v in values]
+    except TypeError:  # values cannot be iterated
+        raise WrongCount(f"{what} must be a list of integers, got {values!r}") from None
+
+
 def convergence_study(pot: BenchmarkPotential, ms, ns) -> ConvergenceStudy:
     """Measure correction-error decay across grid refinements.
 
@@ -220,8 +234,7 @@ def convergence_study(pot: BenchmarkPotential, ms, ns) -> ConvergenceStudy:
     and each requested n at least two distinct m with n <= 2m - 1;
     WrongCount otherwise.
     """
-    ms = [_index(m, "grid size m") for m in ms]
-    ns = [_index(n, "index n") for n in ns]
+    ms, ns = _indices(ms, "grid size m"), _indices(ns, "index n")
     if any(n % 2 == 0 for n in ns):
         raise WrongCount("ns must be odd positive integers")
     if len(set(ms)) < 2:

@@ -494,6 +494,28 @@ def test_trailing_zeros_trimmed():
     assert Poly([0.0, 0.0]).degree == -1
 
 
+def test_poly_arithmetic_results_are_trimmed_read_only_and_exact():
+    # each result keeps the array its operation built; the coefficients are those Poly(array) gives
+    rng = np.random.default_rng(5)
+    a = Poly(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    b = Poly(np.append(-a.coeffs[:4], rng.standard_normal(3)))
+    results = {
+        "a + b": (a + b, a.coeffs[:4] + b.coeffs[:4], a.coeffs[4:6] + b.coeffs[4:6], b.coeffs[6:]),
+        "a - a": (a - a, np.zeros(0)),
+        "-a": (-a, -a.coeffs),
+        "scale": (a.scale(0.5 - 2j), (0.5 - 2j) * a.coeffs),
+        "scale by 0": (a.scale(0.0), np.zeros(0)),
+        "a * b": (a * b, np.convolve(a.coeffs, b.coeffs)),
+        "a / psi_2": ((a * psi_poly(2)).divide_exact(psi_poly(2)), None),
+    }
+    for name, (got, *parts) in results.items():
+        assert not got.coeffs.flags.writeable, name
+        assert got.degree < 0 or got.coeffs[-1] != 0, name
+        if parts[0] is not None:
+            assert got == Poly(np.concatenate(parts)), name
+    assert (a + b).degree == 6 and (a - a).degree == -1
+
+
 def test_psi_poly_is_one_cached_read_only_poly():
     p = psi_poly(7)
     assert psi_poly(7) is p and not p.coeffs.flags.writeable

@@ -11,6 +11,10 @@ Integer arguments (grid sizes l, frozen indices m, d = gcd(m, l+1), eigenvalue a
 n) take Python or numpy integers; 2.0, 1.5, "3" and None are rejected.  Each argument has one
 error class for both faults, a value that is not an integer and one out of range: BadIndex for
 m, NotDegenerate for d, WrongCount for the rest.
+
+Number arguments (tol, rho, lambda, the step h) take one finite number; text, None, a list, inf
+and NaN raise WrongCount, as does h <= 0.  continuous_spectrum caps n_max at 2^21 before it
+allocates its scan.
 """
 
 import math
@@ -31,7 +35,10 @@ from frozenarg import (
     continuous_spectrum,
     convergence_study,
     correction,
+    d_eval,
     degenerate_mu,
+    delta_eval,
+    error_report,
     free_lambdas,
     interpolate,
     poly_from_roots,
@@ -40,7 +47,9 @@ from frozenarg import (
     psi_poly,
     psi_zeros,
     quadratic_potential,
+    r_eval,
     reconstruct,
+    reconstruct_from_potential,
     sample_problem,
     sampled_potential,
     solve_degenerate,
@@ -52,6 +61,8 @@ from frozenarg import (
 
 NAN = math.nan
 LEFT = DegenerateData(side="left", known_w=[0.0, 0.0], d=3)  # (l, m) = (5, 3): d = 3
+PROBLEM = DiscreteProblem(l=3, m=2, w=[0.1, 0.2, 0.3])
+QUADRATIC = quadratic_potential()
 
 # (entry point, fault, call, expected subclass)
 CASES = [
@@ -110,6 +121,33 @@ CASES = [
     ("free_lambdas", "l=-1", lambda: free_lambdas(-1), WrongCount),
     ("PsiSeries", "j=0", lambda: PsiSeries([1.0, 2.0])[0], WrongCount),  # was the last coefficient
     ("PsiSeries", "j=3", lambda: PsiSeries([1.0, 2.0])[3], WrongCount),
+    ("strip_degenerate", "text-tol", lambda: strip_degenerate([1.0, -1.0, 0.0, 0.5, 0.7], 5, 3, tol="x"),
+     WrongCount),
+    ("strip_degenerate", "none-tol", lambda: strip_degenerate([1.0, -1.0, 0.0, 0.5, 0.7], 5, 3, tol=None),
+     WrongCount),
+    ("r_eval", "text", lambda: r_eval(QUADRATIC, "a"), WrongCount),
+    ("r_eval", "none", lambda: r_eval(QUADRATIC, None), WrongCount),
+    ("r_eval", "list", lambda: r_eval(QUADRATIC, [1.0, 2.0]), WrongCount),
+    ("delta_eval", "text", lambda: delta_eval(QUADRATIC, "a"), WrongCount),
+    ("delta_eval", "none", lambda: delta_eval(QUADRATIC, None), WrongCount),
+    ("delta_eval", "list", lambda: delta_eval(QUADRATIC, [1.0]), WrongCount),
+    ("Spectrum.from_mu", "text-mu", lambda: Spectrum.from_mu(["a", "b"], 0.5), WrongCount),
+    ("Spectrum.from_mu", "text-h", lambda: Spectrum.from_mu([1.0, 2.0], "a"), WrongCount),
+    ("Spectrum.from_mu", "h=0", lambda: Spectrum.from_mu([1.0, 2.0], 0.0), WrongCount),  # warned divide-by-zero
+    ("Spectrum.from_mu", "h<0", lambda: Spectrum.from_mu([1.0, 2.0], -0.5), WrongCount),
+    ("convergence_study", "ms-not-a-list", lambda: convergence_study(QUADRATIC, None, [1]), WrongCount),
+    ("convergence_study", "ns-not-a-list", lambda: convergence_study(QUADRATIC, [3, 5], None), WrongCount),
+    ("d_eval", "text", lambda: d_eval(PROBLEM, "a"), WrongCount),
+    ("d_eval", "nan", lambda: d_eval(PROBLEM, NAN), WrongCount),  # returned nan
+    ("d_eval", "inf", lambda: d_eval(PROBLEM, [0.5, math.inf]), WrongCount),
+    ("psi_eval", "text", lambda: psi_eval(3, "a"), WrongCount),
+    ("Poly", "text", lambda: Poly("a"), WrongCount),
+    ("Poly.__call__", "text", lambda: Poly([1, 2])("a"), WrongCount),
+    ("PsiSeries", "text", lambda: PsiSeries("a"), WrongCount),
+    ("error_report", "short-oracle",
+     lambda: error_report(reconstruct_from_potential(QUADRATIC, 2), QUADRATIC, Spectrum(mu=[1.0], lam=[1.0])),
+     WrongCount),
+    ("continuous_spectrum", "n_max=1e9", lambda: continuous_spectrum(QUADRATIC, 10**9), WrongCount),
 ]
 
 # (entry point, integer argument, call with that argument set to v, expected subclass)
@@ -157,6 +195,12 @@ MESSAGES = {
     "degenerate_mu-m=0": r"frozen index m=0 outside \[1, 5\]$",
     "solve_nondegenerate-none": "eigenvalues must be numbers$",
     "psi_poly-range": "coefficient beyond double range$",
+    "r_eval-list": r"rho must be one number, got shape \(2,\)$",
+    "Spectrum.from_mu-h=0": "step h=0.0 must be positive$",
+    "convergence_study-ms-not-a-list": "grid size m must be a list of integers, got None$",
+    "d_eval-nan": "mu must be finite$",
+    "error_report-short-oracle": "discrete_oracle holds 1 eigenvalues, expected l = 2m - 1 = 3$",
+    "continuous_spectrum-n_max=1e9": r"n_max=1000000000 outside \[1, 2097152\]$",
 }
 IDS = [f"{c[0]}-{c[1]}" for c in CASES]
 

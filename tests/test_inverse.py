@@ -197,6 +197,22 @@ def test_degenerate_guards():
         solve_degenerate(np.zeros(3), 3, 5, DegenerateData(side="left", known_w=[0.0], d=2))
 
 
+@pytest.mark.parametrize("l", range(3, 20))
+def test_degenerate_every_small_grid_both_sides_against_dense_oracle(l):
+    # every degenerate m of the grid, so d runs from 2 to (l+1)/2 and up to 10; right needs m + d <= l
+    rng = np.random.default_rng(l)
+    for m in range(1, l + 1):
+        d = math.gcd(m, l + 1)
+        if d == 1:
+            continue
+        w = rand_w(rng, l)
+        mu_reduced = strip_degenerate(dense_mu(w, m), l, m, tol=1e-6)
+        sides = {"left": w[m - d : m - 1]} | ({"right": w[m : m + d]} if m + d <= l else {})
+        for side, known in sides.items():
+            got = solve_degenerate(mu_reduced, m, l, DegenerateData(side=side, known_w=known, d=d))
+            assert rel_err(got, w) <= 1e-8, (l, m, side)
+
+
 @pytest.mark.parametrize("l, m, seed", [(47, 46, 3), (53, 52, 12)])
 def test_degenerate_result_that_misses_the_spectrum_raises(l, m, seed):
     # without the check these return w with relative error 6.4e-2 and 2.7
