@@ -15,6 +15,7 @@ Layers:
   benchmark potentials;
 * :mod:`frozenarg.reconstruct` - correction terms, potential reconstruction
   from finitely many eigenvalues, error tables, convergence harness;
+* :mod:`frozenarg.errors` - the error classes and every check of the input contract;
 * :mod:`frozenarg.cli` - the ``frozenarg`` command.
 """
 

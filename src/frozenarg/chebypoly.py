@@ -18,11 +18,9 @@ them off the spectrum.  Polynomials in monomial form live in
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import NoConvergence, WrongCount
+from .errors import NoConvergence, _index
 
 _EPS = np.finfo(float).eps
 _BLOCK = 1 << 15  # entries per row block of the O(n^2) kernels
@@ -36,17 +34,6 @@ def _block_rows(width: int) -> int:
     No result depends on it: every kernel reduces each row on its own.
     """
     return _BLOCK // max(width, 1) + 1
-
-
-def _index(value, what: str, low=1, high: int | None = None, error=WrongCount) -> int:
-    """value as an int: error unless it is a Python or numpy integer (not 2.0) in [low, high], unbounded if high is None."""
-    try:
-        i = operator.index(value)
-    except TypeError:
-        raise error(f"{what}={value!r} is not an integer") from None
-    if i < low or high is not None and i > high:
-        raise error(f"{what}={i} outside [{low}, {'inf' if high is None else high}]")
-    return i
 
 
 def psi_zeros(n: int) -> np.ndarray:

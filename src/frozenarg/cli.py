@@ -32,8 +32,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import continuous, inverse
-from .discrete import _grid, _read_csv, discrete_spectrum, sample_problem
-from .errors import ConfigError, FrozenArgError, WrongCount
+from .discrete import _grid, discrete_spectrum, sample_problem
+from .errors import ConfigError, FrozenArgError, WrongCount, _read_csv
 from .reconstruct import convergence_study, error_report, reconstruct_from_potential
 
 @dataclass

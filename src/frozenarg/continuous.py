@@ -24,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .chebypoly import _block_rows, _index
-from .discrete import _number, _read_csv, _vector
+from .chebypoly import _block_rows
 from .errors import BracketFailure, FrozenArgError, NoConvergence, QuadratureFailure, WrongCount
+from .errors import _index, _number, _read_csv, _vector
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _AT_NODES = np.polynomial.legendre.legvander(_GL_NODES, 3)  # P_k(x_i), k = 0..3
@@ -92,12 +92,9 @@ _NAMED_POTENTIALS = {
 
 
 def named_potential(name: str) -> BenchmarkPotential:
-    try:
-        return _NAMED_POTENTIALS[name]()
-    except KeyError:
-        raise WrongCount(
-            f"unknown potential {name!r}; expected one of {sorted(_NAMED_POTENTIALS)}"
-        ) from None
+    if not isinstance(name, str) or name not in _NAMED_POTENTIALS:
+        raise WrongCount(f"unknown potential {name!r}; expected one of {sorted(_NAMED_POTENTIALS)}")
+    return _NAMED_POTENTIALS[name]()
 
 
 def sampled_potential(x, q) -> BenchmarkPotential:

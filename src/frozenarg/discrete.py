@@ -20,75 +20,12 @@ so (Golub 1973; Bunch, Nielsen and Sorensen 1978)
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chebypoly import _EPS, _aberth, _block_rows, _index, _secular_weights
-from .errors import BadIndex, FrozenArgError, WrongCount
-
-
-def _check_index(m, l: int | None = None) -> int:
-    """m as an int: BadIndex unless the frozen index m is an integer in [1, l], unbounded under l = None (l = 2m - 1)."""
-    return _index(m, "frozen index m", 1, l, BadIndex)
-
-
-def _numbers(values, what: str, real: bool = False) -> np.ndarray:
-    """values as a copy with at least one axis: complex, or float under real=True.
-
-    WrongCount on entries that are not numbers (under real, not real numbers), text and None
-    among them, and on an inf or NaN entry.
-    """
-    try:
-        v = np.asarray(values)
-        if v.dtype.kind not in ("biuf" if real else "biufc"):  # bool, int, unsigned, float, complex
-            raise TypeError
-    except (TypeError, ValueError):  # ValueError: a ragged list
-        raise WrongCount(f"{what} must be {'real ' if real else ''}numbers") from None
-    v = np.array(v, dtype=float if real else complex, ndmin=1)
-    if not np.isfinite(v).all():
-        raise WrongCount(f"{what} must be finite")
-    return v
-
-
-def _number(value, what: str, real: bool = False):
-    """value as one Python complex, or float under real=True: WrongCount as _numbers, and on a sequence."""
-    v = _numbers(value, what, real)
-    if np.ndim(value):
-        raise WrongCount(f"{what} must be one number, got shape {np.shape(value)}")
-    return v[0].item()
-
-
-def _vector(values, count: int | None, what: str, real: bool = False) -> np.ndarray:
-    """values as a read-only 1-d copy: complex, or float under real=True.
-
-    WrongCount as _numbers, on more than one axis and then, unless count is None, on any other
-    number of entries.
-    """
-    v = _numbers(values, what, real)
-    if v.ndim != 1:
-        raise WrongCount(f"{what} must be a flat list, got shape {v.shape}")
-    if count is not None and len(v) != count:
-        raise WrongCount(f"expected {count} {what}, got {len(v)}")
-    v.setflags(write=False)
-    return v
-
-
-def _read_csv(path, columns: tuple[int, ...], what: str) -> np.ndarray:
-    """The rows of numbers of a CSV file (# comments allowed); a file without rows gives none.
-
-    WrongCount on text that is not numeric and on a column count outside columns.
-    """
-    try:
-        with warnings.catch_warnings():  # numpy warns on a file without rows; the callers' count checks report it
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except ValueError as err:
-        raise WrongCount(f"{what} is not numeric CSV: {err}") from None
-    if data.size and data.shape[1] not in columns:
-        raise WrongCount(f"{what} must have {' or '.join(map(str, columns))} columns")
-    return data if data.size else np.empty((0, columns[-1]))
+from .chebypoly import _EPS, _aberth, _block_rows, _secular_weights
+from .errors import FrozenArgError, WrongCount, _check_index, _index, _number, _numbers, _vector
 
 
 def _grid(l: int) -> np.ndarray:

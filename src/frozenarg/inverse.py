@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebypoly import _index, _read_weights, _secular_weights, _w_from_weights, psi_zeros
-from .discrete import _check_index, _number, _vector
+from .chebypoly import _read_weights, _secular_weights, _w_from_weights, psi_zeros
 from .errors import DegenerateConfiguration, InexactDivision, NotDegenerate, SideDataMismatch, WrongCount
+from .errors import _check_index, _index, _number, _vector
 from .monomial import _solve_degenerate_left
 
 

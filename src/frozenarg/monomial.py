@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chebypoly import _aberth, _index, _product_at, _psi_sin, psi_zeros
-from .discrete import DiscreteProblem, _numbers, _vector
-from .errors import DegreeMismatch, DuplicateNode, InexactDivision, WrongCount
+from .chebypoly import _aberth, _product_at, _psi_sin, psi_zeros
+from .discrete import DiscreteProblem
+from .errors import DegreeMismatch, DuplicateNode, InexactDivision, WrongCount, _index, _number, _numbers, _vector
 
 _DIVIDE_TOL = 1e-10  # largest remainder of an exact division, relative to the dividend
 _FIT_TOL = 1e-9  # largest coefficient poly_to_psi drops past mu^(n-1), relative to the largest
@@ -59,6 +59,13 @@ def _nearest(re: list[int], im: list[int], den: int) -> np.ndarray:
         raise WrongCount("coefficient beyond double range") from None
 
 
+def _poly(operand) -> "Poly":
+    """operand, which a Poly operation takes only as a Poly: WrongCount otherwise."""
+    if not isinstance(operand, Poly):
+        raise WrongCount(f"a Poly operation needs a Poly, got {type(operand).__name__}")
+    return operand
+
+
 class Poly:
     """Dense polynomial in the monomial basis, complex coefficients.
 
@@ -74,15 +81,11 @@ class Poly:
     __slots__ = ("coeffs", "_exact")
 
     def __init__(self, coeffs, _exact=None):
-        try:
-            c = np.array(coeffs, dtype=complex, ndmin=1)
-        except (TypeError, ValueError):  # text and the like: caught, not checked for on every call
-            raise WrongCount("polynomial coefficients must be numbers") from None
-        self._hold(c, _exact)
+        self._hold(_vector(coeffs, None, "polynomial coefficients"), _exact)
 
     @classmethod
     def _of(cls, c: np.ndarray) -> "Poly":
-        """The Poly of the fresh 1-d complex array c, which it keeps without a copy: no one else may hold c."""
+        """The Poly of the fresh 1-d complex array c, kept unchecked and uncopied: no one else may hold c."""
         p = cls.__new__(cls)
         p._hold(c, None)
         return p
@@ -99,7 +102,7 @@ class Poly:
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(np.zeros(0))
+        return Poly._of(np.zeros(0, dtype=complex))
 
     # -- basic queries ---------------------------------------------------------
 
@@ -128,6 +131,7 @@ class Poly:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
+        other = _poly(other)
         n = max(len(self.coeffs), len(other.coeffs))
         c = np.zeros(n, dtype=complex)
         c[: len(self.coeffs)] += self.coeffs
@@ -135,16 +139,16 @@ class Poly:
         return Poly._of(c)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self + (-_poly(other))
 
     def __neg__(self) -> "Poly":
         return Poly._of(-self.coeffs)
 
     def scale(self, c) -> "Poly":
-        return Poly._of(c * self.coeffs)
+        return Poly._of(_number(c, "scale factor") * self.coeffs)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.degree < 0 or other.degree < 0:
+        if self.degree < 0 or _poly(other).degree < 0:
             return Poly.zero()
         return Poly._of(np.convolve(self.coeffs, other.coeffs))
 
@@ -154,8 +158,8 @@ class Poly:
         Synthetic division; the remainder only measures round-off, asserted
         below _DIVIDE_TOL * ||self||_inf.
         """
-        if divisor.degree < 0:
-            raise ZeroDivisionError("division by the zero polynomial")
+        if _poly(divisor).degree < 0:
+            raise DegreeMismatch("division by the zero polynomial")
         if self.degree < divisor.degree:
             if np.abs(self.coeffs).max(initial=0.0) <= _DIVIDE_TOL:
                 return Poly.zero()
@@ -281,7 +285,7 @@ def poly_from_roots(roots) -> Poly:
     c[0] = 1.0
     for k, z in enumerate(r[np.lexsort((r.imag, np.abs(r.imag), r.real))]):
         c[1 : k + 2] -= z * c[: k + 1]  # times (mu - z)
-    return Poly(c[::-1])
+    return Poly._of(c[::-1])
 
 
 def interpolate(nodes, values) -> Poly:
@@ -317,7 +321,7 @@ def interpolate(nodes, values) -> Poly:
         top = n - 1 - k  # c[:top] holds the degree top-1 partial sum; times (mu - xs[k]), plus dd[k]
         c[1 : top + 1] -= xs[k] * c[:top]
         c[top] += dd[k]
-    return Poly(c[::-1])
+    return Poly._of(c[::-1])
 
 
 def _leja_index_order(pts) -> list[int]:

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebypoly import _index
 from .continuous import BenchmarkPotential, continuous_spectrum
-from .discrete import Spectrum, _check_index, _grid, _vector, discrete_spectrum, free_lambdas, sample_problem
-from .errors import FrozenArgError, WrongCount
+from .discrete import Spectrum, _grid, discrete_spectrum, free_lambdas, sample_problem
+from .errors import FrozenArgError, WrongCount, _check_index, _index, _indices, _vector
 from .inverse import solve_symmetric
 
 
@@ -213,14 +212,6 @@ class ConvergenceStudy:
     trapezoid_slope: float | None
     tail_rows: tuple
     tail_slope: float | None
-
-
-def _indices(values, what: str) -> list[int]:
-    """The integers of a sequence, each through _index; WrongCount where values is not a sequence."""
-    try:
-        return [_index(v, what) for v in values]
-    except TypeError:  # values cannot be iterated
-        raise WrongCount(f"{what} must be a list of integers, got {values!r}") from None
 
 
 def convergence_study(pot: BenchmarkPotential, ms, ns) -> ConvergenceStudy:

@@ -574,6 +574,26 @@ def test_monomial_form_lives_in_one_module():
     assert not any(name.startswith("_") for name in from_monomial["__init__.py"])
 
 
+CHECK_NAMES = {"_index", "_check_index", "_numbers", "_number", "_vector", "_read_csv", "_indices"}
+
+
+def test_input_checks_live_in_errors():
+    # the input contract has one home: every check helper is defined in errors.py and imported
+    # from there alone, so continuous and inverse need nothing from the forward solver's module
+    defined, from_discrete = {}, set()
+    for path in sorted(Path(frozenarg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in CHECK_NAMES:
+                defined.setdefault(node.name, set()).add(path.name)
+            elif isinstance(node, ast.ImportFrom):
+                if node.module == "discrete":
+                    from_discrete.add(path.name)
+                checks = {alias.name for alias in node.names} & CHECK_NAMES
+                assert not checks or (node.level, node.module) == (1, "errors"), (path.name, node.module, checks)
+    assert defined == {name: {"errors.py"} for name in CHECK_NAMES}
+    assert not from_discrete & {"continuous.py", "inverse.py"}
+
+
 # ---------------------------------------------------------------------------
 # _product_at
 # ---------------------------------------------------------------------------

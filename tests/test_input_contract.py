@@ -12,9 +12,13 @@ n) take Python or numpy integers; 2.0, 1.5, "3" and None are rejected.  Each arg
 error class for both faults, a value that is not an integer and one out of range: BadIndex for
 m, NotDegenerate for d, WrongCount for the rest.
 
-Number arguments (tol, rho, lambda, the step h) take one finite number; text, None, a list, inf
-and NaN raise WrongCount, as does h <= 0.  continuous_spectrum caps n_max at 2^21 before it
-allocates its scan.
+Number arguments (tol, rho, lambda, the step h, a Poly's scale factor) take one finite number;
+text, None, a list, inf and NaN raise WrongCount, as does h <= 0.  continuous_spectrum caps n_max
+at 2^21 before it allocates its scan.
+
+Poly arithmetic takes another Poly (WrongCount otherwise) and divide_exact a nonzero one
+(DegreeMismatch); named_potential takes one of the four names, and anything else, a list
+included, raises WrongCount.
 """
 
 import math
@@ -25,6 +29,7 @@ import pytest
 from frozenarg import (
     BadIndex,
     DegenerateData,
+    DegreeMismatch,
     DiscreteProblem,
     NotDegenerate,
     Poly,
@@ -41,6 +46,7 @@ from frozenarg import (
     error_report,
     free_lambdas,
     interpolate,
+    named_potential,
     poly_from_roots,
     psi_eval,
     psi_mul,
@@ -148,6 +154,16 @@ CASES = [
      lambda: error_report(reconstruct_from_potential(QUADRATIC, 2), QUADRATIC, Spectrum(mu=[1.0], lam=[1.0])),
      WrongCount),
     ("continuous_spectrum", "n_max=1e9", lambda: continuous_spectrum(QUADRATIC, 10**9), WrongCount),
+    ("Poly", "none", lambda: Poly(None), WrongCount),  # was a constant NaN polynomial
+    ("Poly", "2-d", lambda: Poly([[1, 2], [3, 4]]), WrongCount),
+    ("Poly", "inf", lambda: Poly([1, math.inf]), WrongCount),
+    ("Poly.__add__", "number", lambda: Poly([1, 2]) + 3, WrongCount),
+    ("Poly.__sub__", "number", lambda: Poly([1, 2]) - 3, WrongCount),
+    ("Poly.__mul__", "number", lambda: Poly([1, 2]) * 3, WrongCount),
+    ("Poly.scale", "text", lambda: Poly([1, 2]).scale("a"), WrongCount),
+    ("Poly.scale", "nan", lambda: Poly([1, 2]).scale(NAN), WrongCount),  # was a NaN polynomial
+    ("Poly.divide_exact", "zero", lambda: Poly([1, 2]).divide_exact(Poly.zero()), DegreeMismatch),
+    ("named_potential", "list", lambda: named_potential([1]), WrongCount),
 ]
 
 # (entry point, integer argument, call with that argument set to v, expected subclass)
@@ -201,6 +217,10 @@ MESSAGES = {
     "d_eval-nan": "mu must be finite$",
     "error_report-short-oracle": "discrete_oracle holds 1 eigenvalues, expected l = 2m - 1 = 3$",
     "continuous_spectrum-n_max=1e9": r"n_max=1000000000 outside \[1, 2097152\]$",
+    "Poly-none": "polynomial coefficients must be numbers$",
+    "Poly.__sub__-number": "a Poly operation needs a Poly, got int$",
+    "Poly.scale-nan": "scale factor must be finite$",
+    "named_potential-list": r"unknown potential \[1\]; expected one of \['constant', 'quadratic', 'tent', 'zero'\]$",
 }
 IDS = [f"{c[0]}-{c[1]}" for c in CASES]
 
