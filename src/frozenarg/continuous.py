@@ -26,7 +26,7 @@ import numpy as np
 
 from .chebypoly import _block_rows
 from .errors import BracketFailure, FrozenArgError, NoConvergence, QuadratureFailure, WrongCount
-from .errors import _index, _number, _read_csv, _vector
+from .errors import _index, _instance, _number, _read_csv, _vector
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _AT_NODES = np.polynomial.legendre.legvander(_GL_NODES, 3)  # P_k(x_i), k = 0..3
@@ -267,7 +267,7 @@ def r_eval(pot: BenchmarkPotential, rho) -> complex:
     be one finite number (WrongCount).
     """
     rho = _number(rho, "rho")
-    grid = _quadrature_grid(pot)
+    grid = _quadrature_grid(_instance(pot, BenchmarkPotential, "potential"))
     with np.errstate(over="ignore", invalid="ignore"):
         r = complex(_r(grid, np.array([rho]))[0])
     if not cmath.isfinite(r):
@@ -283,7 +283,7 @@ def delta_eval(pot: BenchmarkPotential, lam) -> complex:
     Delta leaves double range (lambda = -5.2e4 for the quadratic) FrozenArgError
     is raised.  lambda must be one finite number (WrongCount).
     """
-    lam = _number(lam, "lambda")
+    pot, lam = _instance(pot, BenchmarkPotential, "potential"), _number(lam, "lambda")
     rho = np.sqrt(lam)
     r = r_eval(pot, rho)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -385,7 +385,7 @@ def continuous_spectrum(pot: BenchmarkPotential, n_max: int) -> ContinuousSpectr
     n_max = _index(n_max, "n_max", 1, _MAX_N_MAX)
     count = (n_max + 1) // 2
     end = 2.0 * count  # the next zero, of index 2k + 1, lies near rho = 2k + 1
-    grid = _quadrature_grid(pot)
+    grid = _quadrature_grid(_instance(pot, BenchmarkPotential, "potential"))
     rho = _odd_roots(lambda x: _r(grid, x), count, end)
     odd = [(n, float(root * root)) for n, root in zip(range(1, n_max + 1, 2), rho)]
     even = [(n, float(n * n)) for n in range(2, n_max + 1, 2)]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebypoly import _EPS, _aberth, _block_rows, _secular_weights
-from .errors import FrozenArgError, WrongCount, _check_index, _index, _number, _numbers, _vector
+from .errors import FrozenArgError, WrongCount, _check_index, _index, _instance, _number, _numbers, _vector
 
 
 def _grid(l: int) -> np.ndarray:
@@ -102,7 +102,7 @@ def d_eval(p: DiscreteProblem, mu):
     (l >= 738 at mu = 3) D leaves double range and FrozenArgError is raised.  mu must be finite
     numbers (WrongCount).
     """
-    l, m, w = p.l, p.m, p.w
+    l, m, w = _instance(p, DiscreteProblem, "problem").l, p.m, p.w
     z = _numbers(mu, "mu")
     one, zero = np.ones_like(z), np.zeros_like(z)
 
@@ -153,7 +153,7 @@ def discrete_spectrum(p: DiscreteProblem) -> Spectrum:
     every m, in at most 20 sweeps.  Raises NoConvergence on a non-finite step
     or at the cap of chebypoly._MAX_SWEEPS sweeps.
     """
-    nu, a = _secular_weights(p.w, p.m)
+    nu, a = _secular_weights(_instance(p, DiscreteProblem, "problem").w, p.m)
     live = ~(np.abs(a) <= 4.0 * _EPS * (1.0 + np.abs(a).sum()))  # a NaN weight stays live and fails
     mu = nu.astype(complex)
     nu, a = nu[live], a[live]

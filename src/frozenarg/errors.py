@@ -83,6 +83,13 @@ def _index(value, what: str, low=1, high: int | None = None, error=WrongCount) -
     return i
 
 
+def _instance(value, cls: type, what: str):
+    """value, which an entry point takes only as a cls: WrongCount otherwise, naming the type it got."""
+    if not isinstance(value, cls):
+        raise WrongCount(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _check_index(m, l: int | None = None) -> int:
     """m as an int: BadIndex unless the frozen index m is an integer in [1, l], unbounded under l = None (l = 2m - 1)."""
     return _index(m, "frozen index m", 1, l, BadIndex)

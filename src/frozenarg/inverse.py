@@ -29,7 +29,7 @@ import numpy as np
 
 from .chebypoly import _read_weights, _secular_weights, _w_from_weights, psi_zeros
 from .errors import DegenerateConfiguration, InexactDivision, NotDegenerate, SideDataMismatch, WrongCount
-from .errors import _check_index, _index, _number, _vector
+from .errors import _check_index, _index, _instance, _number, _vector
 from .monomial import _solve_degenerate_left
 
 
@@ -133,7 +133,7 @@ def solve_degenerate(mu_reduced, m: int, l: int, data: DegenerateData) -> np.nda
     d = math.gcd(m, l + 1)
     if d == 1:
         raise NotDegenerate(f"gcd(m, l+1) = 1 for (l, m) = ({l}, {m}): use solve_nondegenerate")
-    if data.d != d:
+    if _instance(data, DegenerateData, "data").d != d:
         raise SideDataMismatch(f"data.d = {data.d} but gcd(m, l+1) = {d}")
     mu_reduced = _vector(mu_reduced, l - d + 1, "non-degenerate eigenvalues")
     if data.side == "left":

@@ -24,7 +24,8 @@ import numpy as np
 
 from .chebypoly import _aberth, _product_at, _psi_sin, psi_zeros
 from .discrete import DiscreteProblem
-from .errors import DegreeMismatch, DuplicateNode, InexactDivision, WrongCount, _index, _number, _numbers, _vector
+from .errors import DegreeMismatch, DuplicateNode, InexactDivision, WrongCount
+from .errors import _index, _instance, _number, _numbers, _vector
 
 _DIVIDE_TOL = 1e-10  # largest remainder of an exact division, relative to the dividend
 _FIT_TOL = 1e-9  # largest coefficient poly_to_psi drops past mu^(n-1), relative to the largest
@@ -39,12 +40,11 @@ def _psi_ints(n: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _dyadic(values, what: str) -> tuple[list[int], list[int], int]:
-    """Real and imaginary parts of values as integers over one power of two: values = (re + 1j im) / den.
+def _dyadic(v: np.ndarray) -> tuple[list[int], list[int], int]:
+    """Real and imaginary parts of the complex array v as integers over one power of two: v = (re + 1j im) / den.
 
-    WrongCount on an inf or NaN entry, which no such ratio represents.
+    v must be finite, as the coordinates every PsiSeries and every Poly holds are.
     """
-    v = _vector(values, None, what)
     ratios = [x.as_integer_ratio() for x in np.concatenate([v.real, v.imag]).tolist()]
     den = max((d for _, d in ratios), default=1)
     nums = [a * (den // d) for a, d in ratios]
@@ -76,6 +76,10 @@ class Poly:
     (``_exact``: real and imaginary integer numerators and their power-of-two
     denominator), which :func:`poly_to_psi` reads.  The visible coefficients
     are their nearest doubles.
+
+    Every Poly is held by :meth:`_hold`, which raises WrongCount ("coefficient
+    beyond double range") on an inf or NaN coefficient; the operations that can
+    overflow leave numpy's warning off, so the error is all that escapes.
     """
 
     __slots__ = ("coeffs", "_exact")
@@ -91,6 +95,8 @@ class Poly:
         return p
 
     def _hold(self, c: np.ndarray, exact) -> None:
+        if not np.isfinite(c).all():
+            raise WrongCount("coefficient beyond double range")
         if len(c) and c[-1] == 0:  # scan for the last nonzero only when there are zeros to trim
             nz = np.flatnonzero(c)
             c = c[: nz[-1] + 1 if len(nz) else 0]
@@ -131,26 +137,39 @@ class Poly:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        other = _poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        c = np.zeros(n, dtype=complex)
-        c[: len(self.coeffs)] += self.coeffs
-        c[: len(other.coeffs)] += other.coeffs
-        return Poly._of(c)
+        return self._plus(_poly(other).coeffs)
+
+    __radd__ = __add__
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-_poly(other))
+        return self._plus(-_poly(other).coeffs)  # x + (-y) is x - y, bit for bit
+
+    def __rsub__(self, other) -> "Poly":
+        return _poly(other) - self
+
+    def _plus(self, d: np.ndarray) -> "Poly":
+        """self plus the polynomial of the coefficient array d, one Poly made."""
+        c = np.zeros(max(len(self.coeffs), len(d)), dtype=complex)
+        c[: len(self.coeffs)] += self.coeffs
+        with np.errstate(over="ignore"):
+            c[: len(d)] += d
+        return Poly._of(c)
 
     def __neg__(self) -> "Poly":
         return Poly._of(-self.coeffs)
 
     def scale(self, c) -> "Poly":
-        return Poly._of(_number(c, "scale factor") * self.coeffs)
+        c = _number(c, "scale factor")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Poly._of(c * self.coeffs)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.degree < 0 or _poly(other).degree < 0:
+        other = _poly(other)
+        if self.degree < 0 or other.degree < 0:
             return Poly.zero()
-        return Poly._of(np.convolve(self.coeffs, other.coeffs))
+        return Poly._of(np.convolve(self.coeffs, other.coeffs))  # np.convolve does not warn on overflow
+
+    __rmul__ = __mul__
 
     def divide_exact(self, divisor: "Poly") -> "Poly":
         """Quotient self / divisor when the division is exact in theory.
@@ -168,9 +187,10 @@ class Poly:
         d, top = divisor.coeffs, divisor.degree
         lead = d[-1]
         q = np.zeros(self.degree - top + 1, dtype=complex)
-        for k in range(len(q) - 1, -1, -1):
-            q[k] = r[k + top] / lead
-            r[k : k + top + 1] -= q[k] * d
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(len(q) - 1, -1, -1):
+                q[k] = r[k + top] / lead
+                r[k : k + top + 1] -= q[k] * d
         rem = np.abs(r[:top]).max(initial=0.0)
         scale = np.abs(self.coeffs).max(initial=1.0)
         if rem > _DIVIDE_TOL * scale:
@@ -217,8 +237,8 @@ def psi_poly(n: int) -> Poly:
 
 
 def psi_to_poly(series: PsiSeries) -> Poly:
-    """Expand a psi series into monomial coefficients, exactly; WrongCount on an inf or NaN coordinate."""
-    re, im, den = _dyadic(series.coeffs, "psi coordinates")
+    """Expand a psi series into monomial coefficients, exactly."""
+    re, im, den = _dyadic(_instance(series, PsiSeries, "series").coeffs)
     exact = (_change_basis(re, 1), _change_basis(im, 1), den)
     return Poly(_nearest(*exact), _exact=exact)
 
@@ -229,13 +249,13 @@ def poly_to_psi(p: Poly, n: int | None = None) -> PsiSeries:
     The change-of-basis matrix is unit upper triangular (psi_j monic), solved
     by back-substitution in integers, on the exact coefficients of a Poly from
     psi_to_poly and on the visible ones otherwise; each coordinate is rounded
-    once.  An inf or NaN coefficient raises WrongCount.  If n is given and p
-    carries coefficients beyond mu**(n-1), they must be negligible (at most
-    _FIT_TOL of the largest: round-off from exact cancellations upstream) or
-    DegreeMismatch is raised.
+    once.  If n is given and p carries coefficients beyond mu**(n-1), they
+    must be negligible (at most _FIT_TOL of the largest: round-off from exact
+    cancellations upstream) or DegreeMismatch is raised.
     """
+    p = _instance(p, Poly, "polynomial")
     n = max(p.degree + 1, 1) if n is None else _index(n, "psi series length n")
-    re, im, den = p._exact or _dyadic(p.coeffs, "coefficients")
+    re, im, den = p._exact or _dyadic(p.coeffs)
     scale = np.abs(p.coeffs).max(initial=1.0)
     for k in range(n, p.degree + 1):
         if abs(p.coeffs[k]) > _FIT_TOL * scale:
@@ -260,16 +280,17 @@ def _change_basis(nums: list[int], sign: int) -> list[int]:
     return nums
 
 
-def psi_mul(a: int, b: int) -> PsiSeries:
-    """psi_a * psi_b in the psi basis.
+def _psi_product(a: int, b: int) -> slice:
+    """Where psi_a psi_b lies among the psi coordinates, a, b >= 1: it is the sum of psi_t,
+    t = |a-b|+1, |a-b|+3, .., a+b-1 (an exact integer identity), at 0-based positions t-1."""
+    return slice(abs(a - b), a + b - 1, 2)
 
-    The product expands with unit coefficients at indices a+b-1-2k,
-    k = 0..min(a,b)-1 (exact integer identity).
-    """
+
+def psi_mul(a: int, b: int) -> PsiSeries:
+    """psi_a * psi_b in the psi basis: unit coefficients on the slice of :func:`_psi_product`."""
     a, b = _index(a, "psi index a"), _index(b, "psi index b")
     out = np.zeros(a + b - 1, dtype=complex)
-    for k in range(min(a, b)):
-        out[a + b - 2 - 2 * k] = 1.0
+    out[_psi_product(a, b)] = 1.0
     return PsiSeries(out)
 
 
@@ -283,8 +304,9 @@ def poly_from_roots(roots) -> Poly:
     r = _vector(roots, None, "roots")
     c = np.zeros(len(r) + 1, dtype=complex)  # descending powers: c[0] leads
     c[0] = 1.0
-    for k, z in enumerate(r[np.lexsort((r.imag, np.abs(r.imag), r.real))]):
-        c[1 : k + 2] -= z * c[: k + 1]  # times (mu - z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, z in enumerate(r[np.lexsort((r.imag, np.abs(r.imag), r.real))]):
+            c[1 : k + 2] -= z * c[: k + 1]  # times (mu - z)
     return Poly._of(c[::-1])
 
 
@@ -307,20 +329,21 @@ def interpolate(nodes, values) -> Poly:
         raise DuplicateNode(f"nodes {i} and {j} coincide")
     order = _leja_index_order(nodes)
     xs, dd = nodes[order], values[order]
-    if xs.imag.any():
-        for k in range(1, n):  # dd[k:] becomes the order-k divided differences
-            dd[k:] = (dd[k:] - dd[k - 1 : -1]) / (xs[k:] - xs[:-k])
-    else:  # real nodes: both parts over the real difference, which is how Python's x / (h + 0j) rounds
-        parts, x = dd.view(float).reshape(n, 2), xs.real
-        for k in range(1, n):
-            parts[k:] = (parts[k:] - parts[k - 1 : -1]) / (x[k:] - x[:-k])[:, None]
-    # Horner on the Newton form, descending powers: c[0] leads
-    c = np.zeros(n, dtype=complex)
-    c[0] = dd[n - 1]
-    for k in range(n - 2, -1, -1):
-        top = n - 1 - k  # c[:top] holds the degree top-1 partial sum; times (mu - xs[k]), plus dd[k]
-        c[1 : top + 1] -= xs[k] * c[:top]
-        c[top] += dd[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if xs.imag.any():
+            for k in range(1, n):  # dd[k:] becomes the order-k divided differences
+                dd[k:] = (dd[k:] - dd[k - 1 : -1]) / (xs[k:] - xs[:-k])
+        else:  # real nodes: both parts over the real difference, which is how Python's x / (h + 0j) rounds
+            parts, x = dd.view(float).reshape(n, 2), xs.real
+            for k in range(1, n):
+                parts[k:] = (parts[k:] - parts[k - 1 : -1]) / (x[k:] - x[:-k])[:, None]
+        # Horner on the Newton form, descending powers: c[0] leads
+        c = np.zeros(n, dtype=complex)
+        c[0] = dd[n - 1]
+        for k in range(n - 2, -1, -1):
+            top = n - 1 - k  # c[:top] holds the degree top-1 partial sum; times (mu - xs[k]), plus dd[k]
+            c[1 : top + 1] -= xs[k] * c[:top]
+            c[top] += dd[k]
     return Poly._of(c[::-1])
 
 
@@ -359,7 +382,7 @@ def poly_roots(p: Poly) -> np.ndarray:
     gives a non-finite step and raises NoConvergence.  Residual contract:
     max |p(z)| / (||p|| (1+|z|)^deg) <= 1e-10 for deg <= 64.
     """
-    deg = p.degree
+    deg = _instance(p, Poly, "polynomial").degree
     if deg < 1:
         raise DegreeMismatch("poly_roots requires degree >= 1")
     c = p.coeffs
@@ -395,13 +418,6 @@ class BoundaryPolys(NamedTuple):
     ql1: PsiSeries
 
 
-def _unit(j: int, n: int) -> np.ndarray:
-    v = np.zeros(max(n, 1), dtype=complex)
-    if j >= 1:
-        v[j - 1] = 1.0
-    return v
-
-
 def pq_polynomials(p: DiscreteProblem) -> BoundaryPolys:
     """Closed psi-basis forms of P_0, P_{l+1}, Q_0, Q_{l+1}.
 
@@ -409,31 +425,29 @@ def pq_polynomials(p: DiscreteProblem) -> BoundaryPolys:
     Q_0 = -psi_{m-1} + sum_{j<m} w_j psi_j and
     Q_{l+1} = psi_{l-m+2} + sum_{j<=l-m+1} w_{l+1-j} psi_j.
     """
-    l, m, w = p.l, p.m, p.w
-    p0 = PsiSeries(_unit(m, m))
-    pl1 = PsiSeries(-_unit(l - m + 1, l - m + 1))
-    q0c = -_unit(m - 1, m - 1)
-    for j in range(1, m):
-        q0c[j - 1] += w[j - 1]
-    ql1c = _unit(l - m + 2, l - m + 2)
-    for j in range(1, l - m + 2):
-        ql1c[j - 1] += w[l - j]  # w_{l+1-j}
-    return BoundaryPolys(p0=p0, pl1=pl1, q0=PsiSeries(q0c), ql1=PsiSeries(ql1c))
+    l, m, w = _instance(p, DiscreteProblem, "problem").l, p.m, p.w
+    p0, pl1 = np.zeros(m), np.zeros(l - m + 1)
+    p0[-1], pl1[-1] = 1.0, -1.0
+    q0 = w[: m - 1].copy()
+    q0[-1:] -= 1.0  # less psi_{m-1}, the last coordinate; the zero series when m = 1
+    ql1 = np.append(w[m - 1 :][::-1], 1.0)  # w_l, .., w_m, then psi_{l-m+2}
+    return BoundaryPolys(p0=PsiSeries(p0), pl1=PsiSeries(pl1), q0=PsiSeries(q0), ql1=PsiSeries(ql1))
 
 
 def char_poly(p: DiscreteProblem) -> Poly:
     """D(mu) as a monic degree-l Poly, assembled symbolically in the psi basis.
 
-    D = psi_m * Q_{l+1} + psi_{l-m+1} * Q_0, expanded term by term with
-    psi_mul, then converted to monomials.
+    With the forms of :func:`pq_polynomials`, D = P_0 Q_{l+1} - P_{l+1} Q_0 and
+    psi_m psi_{l-m+2} - psi_{m-1} psi_{l-m+1} = psi_{l+1} give
+    D = psi_{l+1} + sum_j w_j psi_{min(j,m)} psi_{l+1-max(j,m)}: each w_j is
+    added on the slice of :func:`_psi_product`, then the series is converted
+    to monomials.
     """
-    l, m = p.l, p.m
-    polys = pq_polynomials(p)
+    l, m = _instance(p, DiscreteProblem, "problem").l, p.m
     acc = np.zeros(l + 1, dtype=complex)
-    for a, series in ((m, polys.ql1), (l - m + 1, polys.q0)):
-        for j in np.flatnonzero(series.coeffs) + 1:
-            product = psi_mul(a, j).coeffs
-            acc[: len(product)] += series.coeffs[j - 1] * product
+    acc[l] = 1.0
+    for j, wj in enumerate(p.w.tolist(), 1):
+        acc[_psi_product(min(j, m), l + 1 - max(j, m))] += wj
     return psi_to_poly(PsiSeries(acc))
 
 

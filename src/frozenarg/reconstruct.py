@@ -19,7 +19,7 @@ import numpy as np
 
 from .continuous import BenchmarkPotential, continuous_spectrum
 from .discrete import Spectrum, _grid, discrete_spectrum, free_lambdas, sample_problem
-from .errors import FrozenArgError, WrongCount, _check_index, _index, _indices, _vector
+from .errors import FrozenArgError, WrongCount, _check_index, _index, _indices, _instance, _vector
 from .inverse import solve_symmetric
 
 
@@ -97,7 +97,7 @@ def reconstruct(lambdas_odd, m: int) -> ReconstructionResult:
 
 def reconstruct_from_potential(pot: BenchmarkPotential, m: int) -> ReconstructionResult:
     """Convenience: continuous eigenvalues of pot -> reconstruct."""
-    spec = continuous_spectrum(pot, 2 * _check_index(m) - 1)
+    spec = continuous_spectrum(_instance(pot, BenchmarkPotential, "potential"), 2 * _check_index(m) - 1)
     return reconstruct(spec.odd_lambdas, m)
 
 
@@ -143,11 +143,12 @@ def error_report(
     computed here.  delta_nl = lambda_nl - lambda~_nl and
     delta_j = q(x_j) - q~_j are also written back into result.delta_q.
     """
-    m = result.m
+    m = _instance(result, ReconstructionResult, "result").m
+    pot = _instance(pot, BenchmarkPotential, "potential")
     n = np.arange(1, 2 * m, 2)
     if discrete_oracle is None:
         lam_d = _sampled_lambdas(pot, m)
-    elif len(discrete_oracle.lam) != result.l:
+    elif len(_instance(discrete_oracle, Spectrum, "discrete_oracle").lam) != result.l:
         raise WrongCount(f"discrete_oracle holds {len(discrete_oracle.lam)} eigenvalues, expected l = 2m - 1 = {result.l}")
     else:
         lam_d = discrete_oracle.lam.real
@@ -225,6 +226,7 @@ def convergence_study(pot: BenchmarkPotential, ms, ns) -> ConvergenceStudy:
     and each requested n at least two distinct m with n <= 2m - 1;
     WrongCount otherwise.
     """
+    pot = _instance(pot, BenchmarkPotential, "potential")
     ms, ns = _indices(ms, "grid size m"), _indices(ns, "index n")
     if any(n % 2 == 0 for n in ns):
         raise WrongCount("ns must be odd positive integers")

@@ -229,6 +229,20 @@ def test_char_poly_agrees_with_d_eval():
             assert abs(d(mu) - d_eval(prob, mu)) <= 1e-9 * scale
 
 
+def test_char_poly_matches_recurrence_oracle_at_every_index():
+    # every (l, m) with l <= 12, m = 1 and m = l included: the edges of the psi-product slices
+    rng = np.random.default_rng(14)
+    for l in range(1, 13):
+        for m in range(1, l + 1):
+            w = rand_w(rng, l)
+            d = char_poly(DiscreteProblem.from_w(w, m))
+            absc = np.abs(d.coeffs)
+            for mu in (0.3 + 0.7j, -1.6 + 0.2j, 2.4 - 1.1j):
+                p0, pl1, q0, ql1 = recurrence_oracle(l, m, w, mu)
+                scale = np.sum(absc * abs(mu) ** np.arange(l + 1))
+                assert abs(d(mu) - (p0 * ql1 - pl1 * q0)) <= 1e-13 * scale, (l, m, mu)
+
+
 # ---------------------------------------------------------------------------
 # discrete_spectrum
 # ---------------------------------------------------------------------------

@@ -16,9 +16,15 @@ Number arguments (tol, rho, lambda, the step h, a Poly's scale factor) take one 
 text, None, a list, inf and NaN raise WrongCount, as does h <= 0.  continuous_spectrum caps n_max
 at 2^21 before it allocates its scan.
 
-Poly arithmetic takes another Poly (WrongCount otherwise) and divide_exact a nonzero one
-(DegreeMismatch); named_potential takes one of the four names, and anything else, a list
-included, raises WrongCount.
+Poly arithmetic takes another Poly (WrongCount otherwise), on either side of the operator, and
+divide_exact a nonzero one (DegreeMismatch); named_potential takes one of the four names, and
+anything else, a list included, raises WrongCount.  A Poly whose coefficients leave double range
+(poly_from_roots, a product, a sum, a scale, an interpolation) raises WrongCount, and no numpy
+overflow warning escapes on the way: every case here runs with warnings as errors.
+
+An entry point that takes a toolkit object (a DiscreteProblem, BenchmarkPotential, Poly,
+PsiSeries, DegenerateData, ReconstructionResult or Spectrum) raises WrongCount, naming the type
+it got, for anything else.
 """
 
 import math
@@ -37,20 +43,26 @@ from frozenarg import (
     SideDataMismatch,
     Spectrum,
     WrongCount,
+    char_poly,
     continuous_spectrum,
     convergence_study,
     correction,
     d_eval,
     degenerate_mu,
     delta_eval,
+    discrete_spectrum,
     error_report,
     free_lambdas,
     interpolate,
     named_potential,
     poly_from_roots,
+    poly_roots,
+    poly_to_psi,
+    pq_polynomials,
     psi_eval,
     psi_mul,
     psi_poly,
+    psi_to_poly,
     psi_zeros,
     quadratic_potential,
     r_eval,
@@ -164,6 +176,37 @@ CASES = [
     ("Poly.scale", "nan", lambda: Poly([1, 2]).scale(NAN), WrongCount),  # was a NaN polynomial
     ("Poly.divide_exact", "zero", lambda: Poly([1, 2]).divide_exact(Poly.zero()), DegreeMismatch),
     ("named_potential", "list", lambda: named_potential([1]), WrongCount),
+    # toolkit objects: each of these leaked AttributeError
+    ("discrete_spectrum", "none", lambda: discrete_spectrum(None), WrongCount),
+    ("d_eval", "problem-list", lambda: d_eval([0.1, 0.2], 0.5), WrongCount),
+    ("char_poly", "int", lambda: char_poly(3), WrongCount),
+    ("pq_polynomials", "none", lambda: pq_polynomials(None), WrongCount),
+    ("r_eval", "potential-none", lambda: r_eval(None, 1.0), WrongCount),
+    ("delta_eval", "potential-list", lambda: delta_eval([1.0], 1.0), WrongCount),
+    ("continuous_spectrum", "potential-none", lambda: continuous_spectrum(None, 3), WrongCount),
+    ("reconstruct_from_potential", "potential-int", lambda: reconstruct_from_potential(3, 2), WrongCount),
+    ("convergence_study", "potential-none", lambda: convergence_study(None, [3, 5], [1]), WrongCount),
+    ("error_report", "result-none", lambda: error_report(None, QUADRATIC), WrongCount),
+    ("error_report", "potential-none", lambda: error_report(reconstruct_from_potential(QUADRATIC, 2), None),
+     WrongCount),
+    ("error_report", "oracle-list",
+     lambda: error_report(reconstruct_from_potential(QUADRATIC, 2), QUADRATIC, [1.0, 2.0, 3.0]), WrongCount),
+    ("poly_roots", "none", lambda: poly_roots(None), WrongCount),
+    ("poly_to_psi", "list", lambda: poly_to_psi([1.0, 2.0]), WrongCount),
+    ("poly_to_psi", "none-with-n", lambda: poly_to_psi(None, 3), WrongCount),
+    ("psi_to_poly", "poly", lambda: psi_to_poly(Poly([1.0])), WrongCount),
+    ("solve_degenerate", "data-none", lambda: solve_degenerate([0.5, -0.5, 0.1], 3, 5, None), WrongCount),
+    # reflected operators: these leaked TypeError, and the zero polynomial times 3 returned the zero polynomial
+    ("Poly.__rmul__", "number", lambda: 3 * Poly([1, 2]), WrongCount),
+    ("Poly.__radd__", "number", lambda: 3 + Poly([1, 2]), WrongCount),
+    ("Poly.__rsub__", "number", lambda: 3 - Poly([1, 2]), WrongCount),
+    ("Poly.__mul__", "zero-times-number", lambda: Poly.zero() * 3, WrongCount),
+    # coefficients beyond double range: these returned inf coefficients, with an overflow warning
+    ("poly_from_roots", "overflow", lambda: poly_from_roots([1e200, 1e200]), WrongCount),
+    ("Poly.__mul__", "overflow", lambda: Poly([1e200]) * Poly([1e200]), WrongCount),
+    ("Poly.scale", "overflow", lambda: Poly([1e308]).scale(10), WrongCount),
+    ("Poly.__add__", "overflow", lambda: Poly([1e308]) + Poly([1e308]), WrongCount),
+    ("interpolate", "overflow", lambda: interpolate([0.0, 1e-10], [1e300, -1e300]), WrongCount),
 ]
 
 # (entry point, integer argument, call with that argument set to v, expected subclass)
@@ -220,11 +263,16 @@ MESSAGES = {
     "Poly-none": "polynomial coefficients must be numbers$",
     "Poly.__sub__-number": "a Poly operation needs a Poly, got int$",
     "Poly.scale-nan": "scale factor must be finite$",
+    "discrete_spectrum-none": "problem must be a DiscreteProblem, got NoneType$",
+    "error_report-oracle-list": "discrete_oracle must be a Spectrum, got list$",
+    "Poly.__rmul__-number": "a Poly operation needs a Poly, got int$",
+    "poly_from_roots-overflow": "coefficient beyond double range$",
     "named_potential-list": r"unknown potential \[1\]; expected one of \['constant', 'quadratic', 'tent', 'zero'\]$",
 }
 IDS = [f"{c[0]}-{c[1]}" for c in CASES]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case, call, error", [(i, *c[2:]) for i, c in zip(IDS, CASES)], ids=IDS)
 def test_bad_input_raises_its_subclass(case, call, error):
     with pytest.raises(error, match=MESSAGES.get(case)):
